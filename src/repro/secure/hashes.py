@@ -6,16 +6,36 @@ vectorised numpy fast path: djb2 is linear over Z/2^64 —
 
     h_out = h_in * 33^L  +  sum_i  c_i * 33^(L-1-i)   (mod 2^64)
 
-so a whole chunk folds in with one dot-like product against a precomputed
-power table.  A pure-Python reference implementation cross-checks it in the
-tests.  sdbm (same structure, multiplier 65599) and fnv1a (non-linear,
-pure Python) are provided as alternatives.
+so a whole chunk folds in as one exact float32 matrix product:
+
+* the input is cut into rows of 256 bytes, the first row zero-padded at
+  the *front* (leading zeros add nothing to the sum, so a partial row
+  needs no separate path);
+* the rows, as float32, multiply a 256x8 table whose column ``k`` holds
+  byte ``k`` (the 8-bit limb) of ``mult^(255-j)`` mod 2^64;
+* each row's 8 limb sums combine with one wrapping uint64 ``np.dot``
+  against ``(mult^(256*(rows-1-b)) << 8k) mod 2^64``.
+
+The float32 product is exact: a limb column sums at most
+256 * 255 * 255 < 2^24, and every partial sum on the way is an integer
+float32 represents exactly, so the digest does not depend on the order or
+the number of threads BLAS sums in.  The fold runs in 64 KiB blocks: the
+float32 scratch stays at 256 KiB per hashing thread, and each product is
+small enough that OpenBLAS computes it on the calling thread.  From
+128 KiB up, OpenBLAS 0.3 wakes a second thread: on a 2-vCPU host that
+doubled the CPU time per byte, saved no wall time, and took the core of
+the other campaign worker (``docs/performance.md``, "Scan hashing").
+
+A pure-Python reference implementation cross-checks it in the tests.
+sdbm (same structure, multiplier 65599) and fnv1a (non-linear, pure
+Python) are provided as alternatives.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -32,55 +52,71 @@ SDBM_MULT = 65599
 FNV1A_INIT = 0xCBF29CE484222325
 FNV1A_PRIME = 0x100000001B3
 
-#: Chunk length of the precomputed power tables.
-_TABLE_LEN = 1 << 16
+#: Bytes per row of the float32 product (one limb-table row per byte).
+_ROW = 256
+#: Bytes folded per block: 64 KiB, so the float32 scratch is 256 KiB.
+_BLOCK = 1 << 16
+_BLOCK_ROWS = _BLOCK // _ROW
 
-_pow_tables: Dict[int, np.ndarray] = {}
+_fold_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 Buffer = Union[bytes, bytearray, memoryview]
 
 
-def _pow_table(mult: int) -> np.ndarray:
-    """Descending powers [mult^(L-1), ..., mult^1, mult^0] mod 2^64."""
-    table = _pow_tables.get(mult)
-    if table is None:
-        table = np.empty(_TABLE_LEN, dtype=np.uint64)
-        value = 1
-        for i in range(_TABLE_LEN - 1, -1, -1):
-            table[i] = value
-            value = (value * mult) & _MASK64
-        _pow_tables[mult] = table
-    return table
+def _tables(mult: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(limbs, weights)`` for ``mult``, built once per multiplier.
+
+    ``limbs`` is the (256, 8) float32 table of the byte limbs of
+    ``mult^(255-j)``; ``weights`` is the flat uint64 table
+    ``(mult^(256*(_BLOCK_ROWS-1-b)) << 8k) mod 2^64``, whose last
+    ``rows * 8`` entries combine a block of ``rows`` rows.
+    """
+    tables = _fold_tables.get(mult)
+    if tables is None:
+        powers = np.array(
+            [pow(mult, _ROW - 1 - j, 1 << 64) for j in range(_ROW)], dtype="<u8"
+        )
+        limbs = powers.view(np.uint8).reshape(_ROW, 8).astype(np.float32)
+        row_powers = np.array(
+            [pow(mult, _ROW * (_BLOCK_ROWS - 1 - b), 1 << 64) for b in range(_BLOCK_ROWS)],
+            dtype=np.uint64,
+        )
+        # uint64 shifts drop the bits shifted past 2^64: the mod is free.
+        weights = (row_powers[:, None] << np.arange(0, 64, 8, dtype=np.uint64)).ravel()
+        tables = _fold_tables[mult] = (limbs, weights)
+    return tables
 
 
-#: Reusable widening buffer for :func:`_fold_chunk`.  ``update`` runs to
-#: completion synchronously (no suspension points inside a fold), but the
-#: thread-backend campaign executor runs whole trials on concurrent
-#: threads, so the scratch is thread-local: one buffer per hashing thread
-#: still saves a fresh 8x-size uint64 allocation per <= 64 KiB chunk.
+@functools.lru_cache(maxsize=256)
+def _mult_pow(mult: int, n: int) -> int:
+    """``mult^n mod 2^64``; scans repeat a handful of block lengths."""
+    return pow(mult, n, 1 << 64)
+
+
+#: Float32 staging rows for :func:`_fold_block`.  The thread-backend
+#: campaign executor runs whole trials on concurrent threads, so each
+#: hashing thread gets its own buffer.
 _scratch_local = threading.local()
 
 
-def _scratch(n: int) -> np.ndarray:
-    buffer = getattr(_scratch_local, "buffer", None)
-    if buffer is None:
-        buffer = np.empty(_TABLE_LEN, dtype=np.uint64)
-        _scratch_local.buffer = buffer
-    return buffer[:n]
-
-
-def _fold_chunk(h: int, chunk: Buffer, mult: int) -> int:
-    """Fold one chunk (<= table length) into ``h`` for multiplier ``mult``."""
-    data = np.frombuffer(chunk, dtype=np.uint8)
+def _fold_block(h: int, block: Buffer, mult: int) -> int:
+    """Fold one block (<= ``_BLOCK`` bytes) into ``h`` for multiplier ``mult``."""
+    data = np.frombuffer(block, dtype=np.uint8)
     n = data.shape[0]
     if n == 0:
         return h
-    scratch = _scratch(n)
-    np.copyto(scratch, data, casting="unsafe")
-    powers = _pow_table(mult)[_TABLE_LEN - n :]
-    with np.errstate(over="ignore"):
-        contrib = int(np.dot(scratch, powers))
-    return (h * pow(mult, n, 1 << 64) + contrib) & _MASK64
+    scratch = getattr(_scratch_local, "rows", None)
+    if scratch is None:
+        scratch = _scratch_local.rows = np.empty(_BLOCK, dtype=np.float32)
+    rows = -(-n // _ROW)
+    pad = rows * _ROW - n
+    scratch[:pad] = 0
+    scratch[pad : pad + n] = data
+    limbs, weights = _tables(mult)
+    sums = scratch[: rows * _ROW].reshape(rows, _ROW).dot(limbs)
+    # uint64 array products wrap mod 2^64 without a warning.
+    contrib = int(sums.astype(np.uint64).ravel().dot(weights[-rows * 8 :]))
+    return (h * _mult_pow(mult, n) + contrib) & _MASK64
 
 
 class LinearHasher:
@@ -94,8 +130,8 @@ class LinearHasher:
 
     def update(self, data: Buffer) -> "LinearHasher":
         view = memoryview(data)
-        for start in range(0, len(view), _TABLE_LEN):
-            self.value = _fold_chunk(self.value, view[start : start + _TABLE_LEN], self.mult)
+        for start in range(0, len(view), _BLOCK):
+            self.value = _fold_block(self.value, view[start : start + _BLOCK], self.mult)
         return self
 
     def digest(self) -> int:

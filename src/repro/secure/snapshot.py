@@ -46,7 +46,7 @@ class SecureSnapshotBuffer:
         source_addr: int,
         length: int,
         chunk_size: int = 4096,
-    ) -> Generator[Any, Any, Tuple[int, bytes]]:
+    ) -> Generator[Any, Any, Tuple[int, memoryview]]:
         """Copy ``length`` bytes into the buffer and djb2-hash the copy.
 
         A coroutine for secure-world execution: each chunk is read from
@@ -54,7 +54,9 @@ class SecureSnapshotBuffer:
         concurrent attacker race resolves at chunk granularity), then the
         combined copy+hash cost is charged per Table I's snapshot column.
 
-        Returns ``(digest, copy)``.
+        Returns ``(digest, copy)``, where ``copy`` is a read-only view of
+        the secure SRAM the snapshot was staged in: it stays valid until
+        the next snapshot overwrites the buffer.
         """
         if length > self.capacity:
             raise IntrospectionError(
@@ -62,7 +64,6 @@ class SecureSnapshotBuffer:
             )
         self.snapshots_taken += 1
         hasher = Djb2()
-        copied = bytearray()
         offset = 0
         while offset < length:
             step = min(chunk_size, length - offset)
@@ -70,8 +71,8 @@ class SecureSnapshotBuffer:
             if self.fault_hook is not None:
                 chunk = self.fault_hook(offset, chunk)
             self.memory.write(self.base + offset, chunk, World.SECURE)
-            copied += chunk
             hasher.update(chunk)
             yield cpu(step * core.perf.snapshot_byte())
             offset += step
-        return hasher.digest(), bytes(copied)
+        staged = self.memory.view(self.base, length, World.SECURE).toreadonly()
+        return hasher.digest(), staged

@@ -135,14 +135,35 @@ def uniform_matrix(seeds: Sequence[int], n: int, skip: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_MASK64 = (1 << 64) - 1
+
+#: Chunk length of the ``"matmul"`` strategy's power tables.
+_TABLE_LEN = 1 << 16
+
+_pow_tables: Dict[int, np.ndarray] = {}
+
+
+def _pow_table(mult: int) -> np.ndarray:
+    """Descending powers [mult^(L-1), ..., mult^1, mult^0] mod 2^64."""
+    table = _pow_tables.get(mult)
+    if table is None:
+        table = np.empty(_TABLE_LEN, dtype=np.uint64)
+        value = 1
+        for i in range(_TABLE_LEN - 1, -1, -1):
+            table[i] = value
+            value = (value * mult) & _MASK64
+        _pow_tables[mult] = table
+    return table
+
+
 #: Per-row byte count above which the one-matmul-per-chunk path loses to
 #: per-row scalar hashing.  The matmul widens every uint8 chunk to a
-#: uint64 copy (an 8x materialization) before the BLAS call, so once a
-#: row stops fitting in cache the scalar row loop — which folds each row
-#: through the same power table without the cross-row copy — wins by
-#: 3-5x; below it the shared-table matmul amortizes across rows and wins
-#: by up to an order of magnitude (measured: matmul 1.1-19x faster at
-#: <= 4 KiB/row, 0.19-0.28x at >= 16 KiB/row).
+#: uint64 copy (an 8x materialization) and multiplies it in numpy's own
+#: integer loop (BLAS has no integer kernels), so once a row stops
+#: fitting in cache the scalar row loop wins by 3-5x; below it the
+#: shared-table matmul amortizes across rows and wins by up to an order
+#: of magnitude (measured against the earlier uint64 scalar fold: matmul
+#: 1.1-19x faster at <= 4 KiB/row, 0.19-0.28x at >= 16 KiB/row).
 BATCH_HASH_MATMUL_MAX_BYTES = 8192
 
 
@@ -167,7 +188,7 @@ def batch_linear_hash(
     ``batch_linear_hash(M, 33, 5381)[i] == djb2(M[i].tobytes())``
     regardless of strategy.
     """
-    from repro.secure.hashes import _TABLE_LEN, LinearHasher, _pow_table
+    from repro.secure.hashes import LinearHasher
 
     data = np.ascontiguousarray(matrix, dtype=np.uint8)
     if data.ndim != 2:

@@ -41,6 +41,7 @@ def test_take_and_hash_copies_and_hashes(stack):
     digest, copy = outcome[0]
     original = rich_os.image.read(0, length, World.SECURE)
     assert copy == original
+    assert copy.readonly
     assert digest == djb2(original)
     # The copy physically landed in secure SRAM.
     assert machine.memory.read(SECURE_SRAM_BASE, length, World.SECURE) == original
