@@ -4,7 +4,7 @@ These are the CI-facing wrappers around :mod:`repro.bench`.  Wall-clock
 numbers are *reported* (printed with ``-s``) but never asserted — the only
 failures here are **deterministic** regressions: a different ``(time, seq)``
 firing sequence, a diverged fused-scan timeline, a changed experiment
-table, or the coalescing/caching machinery silently turning itself off.
+table, or the scan-coalescing machinery silently turning itself off.
 
 The full suite (``python -m repro bench --out BENCH_4.json --check
 benchmarks/perf/expected_determinism.json``) runs the same checks at
@@ -18,7 +18,6 @@ import os
 
 from repro.bench import (
     ReferenceSimulator,
-    bench_boot_cache,
     bench_scan_coalescing,
     engine_equivalence,
     _lean_timer_workload,
@@ -66,12 +65,6 @@ def test_fused_scan_timeline_matches_per_chunk():
     # logical timeline.  A 2x guard catches the optimization silently
     # disabling itself without being sensitive to exact event counts.
     assert result["events_scheduled"] * 2 < result["events_scheduled_chunked"]
-
-
-def test_boot_digest_cache_hits_on_second_build():
-    result = bench_boot_cache()
-    assert result["identical_digests"], "cached boot digest diverged from cold build"
-    assert result["digest_cache_hits"] >= 1, "second stack build did not hit the digest cache"
 
 
 def test_experiment_tables_match_pinned_hashes():

@@ -23,6 +23,8 @@ from repro.errors import AttackError
 from repro.hw.platform import Machine
 from repro.sim.batch import bind_sampler
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ProbeDetection:
@@ -56,6 +58,8 @@ class ProbeBuffer:
     def __init__(self, machine: Machine, config: ProberConfig) -> None:
         self.machine = machine
         self.config = config
+        #: the clock every read and write stamps against.
+        self._sim = machine.sim
         self._rng = machine.rng.stream("prober.visibility")
         self._draw_delay = bind_sampler(config.cross_core_delay, self._rng)
         #: per-core list of (write_time, value), newest last.
@@ -63,7 +67,7 @@ class ProbeBuffer:
 
     def write(self, core_index: int, value: float) -> None:
         history = self._slots.setdefault(core_index, [])
-        history.append((self.machine.sim.now, value))
+        history.append((self._sim.now, value))
         if len(history) > self._HISTORY:
             del history[0]
 
@@ -74,7 +78,7 @@ class ProbeBuffer:
             return None
         if reader_core == target_core:
             return history[-1][1]
-        visible_until = self.machine.sim.now - self._draw_delay()
+        visible_until = self._sim.now - self._draw_delay()
         for write_time, value in reversed(history):
             if write_time <= visible_until:
                 return value
@@ -114,6 +118,10 @@ class ProbeController:
         self.expected_interval = (
             expected_interval if expected_interval is not None else self.config.tsleep
         )
+        #: report gap (seconds) beyond which the observer counts as having
+        #: overslept; neither factor is reassigned after construction.
+        self._gate = self.config.self_gate_factor * self.expected_interval
+        self._sim = machine.sim
         self.buffer = ProbeBuffer(machine, self.config)
         self._last_report: Dict[int, float] = {}
         #: gap between each observer's last two reports (oversleep gauge).
@@ -154,9 +162,9 @@ class ProbeController:
         """Publish the shared counter value from ``core_index``."""
         now = self.machine.counter.read_seconds()
         previous = self._last_report.get(core_index)
-        gap = now - previous if previous is not None else float("inf")
+        gap = now - previous if previous is not None else _INF
         self._report_gap[core_index] = gap
-        if gap > self.config.self_gate_factor * self.expected_interval:
+        if gap > self._gate:
             # Coming out of an oversleep: buffer entries of other cores may
             # lag by a worst-case coherence delay — distrust them briefly.
             self._distrust_until[core_index] = now + self.config.distrust_window
@@ -174,42 +182,47 @@ class ProbeController:
         report is old): the whole buffer is then uniformly stale and any
         difference says nothing about other cores.
         """
-        now = self.machine.sim.now
+        now = self._sim.now
         self.compare_rounds += 1
         my_time = self._last_report.get(observer_core)
         if my_time is None:
             return []
-        gate = self.config.self_gate_factor * self.expected_interval
+        gate = self._gate
         # Self-gating: if the observer itself just overslept (long gap
         # between its last two reports) or its report is stale, the whole
         # buffer may be uniformly old — the sweep proves nothing.
         if (
             now - my_time > gate
-            or self._report_gap.get(observer_core, float("inf")) > gate
+            or self._report_gap.get(observer_core, _INF) > gate
             or now < self._distrust_until.get(observer_core, 0.0)
         ):
             self.gated_rounds += 1
             return []
+        # Locals for the sweep; read stays a call (the visibility rule).
+        read = self.buffer.read
+        latest_seen = self._latest_seen
+        suspects = self._active_suspects
+        threshold = self.threshold
         new_detections: List[ProbeDetection] = []
         for target in self.target_cores:
             if target == observer_core:
                 continue
-            their_time = self.buffer.read(observer_core, target)
+            their_time = read(observer_core, target)
             if their_time is None:
                 continue
-            pooled = self._latest_seen.get(target)
+            pooled = latest_seen.get(target)
             if pooled is None or their_time > pooled:
-                self._latest_seen[target] = their_time
+                latest_seen[target] = their_time
             else:
                 their_time = pooled
             staleness = my_time - their_time
-            if self.record_staleness and target not in self._active_suspects:
+            if self.record_staleness and target not in suspects:
                 self.staleness_samples.append(staleness)
                 if staleness > self.max_staleness:
                     self.max_staleness = staleness
-            if staleness > self.threshold:
-                if target not in self._active_suspects:
-                    self._active_suspects.add(target)
+            if staleness > threshold:
+                if target not in suspects:
+                    suspects.add(target)
                     detection = ProbeDetection(now, observer_core, target, staleness)
                     self.detections.append(detection)
                     new_detections.append(detection)
@@ -221,8 +234,8 @@ class ProbeController:
                     )
                     for listener in self._detect_listeners:
                         listener(detection)
-            elif target in self._active_suspects:
-                self._active_suspects.discard(target)
+            elif target in suspects:
+                suspects.discard(target)
                 clear = ProbeClear(now, observer_core, target)
                 self.clears.append(clear)
                 self.machine.trace.emit(

@@ -4,9 +4,9 @@ Two kinds of numbers come out of a bench run:
 
 * **wall-clock measurements** — events/sec on the event-engine microbench
   (against a bundled seed-style reference engine), schedule_batch vs
-  one-at-a-time scheduling, fused vs per-chunk scan wall time, trusted-boot
-  cache effect, and end-to-end trial wall times.  These vary by host and
-  are *reported, never asserted*.
+  one-at-a-time scheduling, fused vs per-chunk scan wall time, and
+  end-to-end trial wall times.  These vary by host and are *reported,
+  never asserted*.
 * **deterministic invariants** — events-fired counts, introspection
   rounds-per-pass, fired ``(time, seq)`` sequence checksums, and table
   digests.  These are pure functions of the code and the seeds, so CI can
@@ -398,42 +398,6 @@ def bench_trials() -> Dict[str, Any]:
     return out
 
 
-def bench_boot_cache(seed: int = 77) -> Dict[str, Any]:
-    """Back-to-back stack builds: cold (caches flushed) vs warm."""
-    from repro.experiments.common import build_stack
-    from repro.kernel import image as image_module
-    from repro.secure import boot as boot_module
-    from repro.secure.boot import DIGEST_CACHE_STATS
-
-    # Flush the process-level caches so the first build is genuinely cold
-    # (earlier bench stages share the default image_seed and warm them).
-    boot_module._DIGEST_CACHE.clear()
-    image_module._CONTENT_CACHE.clear()
-    before = dict(DIGEST_CACHE_STATS)
-
-    def table_of(stack):
-        store = stack.satin.checker.store
-        return tuple(store.expected_digest(span) for span in store.spans)
-
-    gc.collect()
-    started = time.perf_counter()
-    cold_table = table_of(build_stack(seed=seed, with_satin=True))
-    cold_wall = time.perf_counter() - started
-    gc.collect()
-    started = time.perf_counter()
-    warm_table = table_of(build_stack(seed=seed, with_satin=True))
-    warm_wall = time.perf_counter() - started
-    return {
-        "cold_build_seconds": round(cold_wall, 4),
-        "warm_build_seconds": round(warm_wall, 4),
-        "speedup": round(cold_wall / warm_wall, 2) if warm_wall else None,
-        "identical_digests": cold_table == warm_table,
-        "digest_cache_hits": DIGEST_CACHE_STATS["hits"] - before["hits"],
-        "digest_cache_misses": DIGEST_CACHE_STATS["misses"] - before["misses"],
-        "digest_cache_rejected": DIGEST_CACHE_STATS["rejected"] - before["rejected"],
-    }
-
-
 def bench_batch_kernels(
     rows: int = 64, large: int = 262144, small: int = 2048
 ) -> Dict[str, Any]:
@@ -711,8 +675,6 @@ def run_bench(
     results["scan_coalescing"] = bench_scan_coalescing()
     note("trial wall times (E1, E9)...")
     results["trials"] = bench_trials()
-    note("trusted-boot digest cache...")
-    results["boot_cache"] = bench_boot_cache()
     if batch:
         note("batched hashing kernels (matmul vs scalar, both break-even sides)...")
         results["batch_kernels"] = bench_batch_kernels()

@@ -12,16 +12,12 @@ its paper-vs-measured comparison rows, and the scalar subset of its raw
 values.  Workers never touch the result store — records flow back to the
 supervisor over the pool's queue.
 
-Trials lean on two process-scoped content caches that are invisible to
+Trials lean on one process-scoped content cache that is invisible to
 simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (generated
-kernel image bytes, keyed by image seed and layout) and
-:data:`repro.secure.boot._DIGEST_CACHE` (trusted-boot digest tables,
-keyed by image fingerprint and partition table).  On fork-based pools the
-supervisor's warm caches are inherited by every worker for free; spawned
-workers warm their own on the first trial.  Each cache hit still verifies
-a sentinel span against the live image, and setting ``REPRO_NO_BOOT_CACHE``
-disables the digest cache entirely — results are byte-identical either
-way, only wall time changes.
+kernel image bytes, a pure function of image seed and size).  On
+fork-based pools the supervisor's warm cache is inherited by every worker
+for free; spawned workers warm their own on the first trial.  Trusted boot
+always hashes the live image: a digest table is never reused.
 """
 
 from __future__ import annotations

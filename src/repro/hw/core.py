@@ -59,6 +59,7 @@ class Core:
     @property
     def available_to_normal_world(self) -> bool:
         """Can the rich OS dispatch a task here right now?"""
+        # Inlined copies: RichScheduler.wake and RichScheduler._dispatch.
         return self.world is World.NORMAL and not self.transitioning
 
     @property

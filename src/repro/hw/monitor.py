@@ -137,6 +137,10 @@ class SecureMonitor:
         self.metrics = metrics
         self._handlers: Dict[int, SecurePayload] = {}
         self._executions: Dict[int, SecureExecution] = {}
+        #: entry time of every core the normal world has lost, keyed by core
+        #: index: set before the enter hooks run, popped in ``_exit_secure``
+        #: before the exit hooks run — exactly the cores that are secure or
+        #: transitioning.
         self._entry_started: Dict[int, float] = {}
         gic.attach_monitor(self)
         #: Optional fault hook: extra seconds added to each world-switch
@@ -179,11 +183,11 @@ class SecureMonitor:
             )
         self.switches_to_secure += 1
         core.transitioning = True
+        self._entry_started[core.index] = self.sim.now
         core.notify_enter_secure()  # the normal world loses the core NOW
         switch_cost = core.perf.world_switch()
         if self.switch_fault is not None:
             switch_cost += self.switch_fault(core)
-        self._entry_started[core.index] = self.sim.now
         if self.metrics is not None:
             self.metrics.counter("monitor.world_switches").inc()
             self.metrics.histogram("monitor.switch_cost_seconds").observe(switch_cost)
@@ -258,6 +262,10 @@ class SecureMonitor:
         return True
 
     # ------------------------------------------------------------------
+    def any_core_lost(self) -> bool:
+        """True while any core is in (or moving to/from) the secure world."""
+        return bool(self._entry_started)
+
     def secure_execution_on(self, core_index: int) -> Optional[SecureExecution]:
         """The active secure execution on a core, if any (harness use)."""
         return self._executions.get(core_index)

@@ -19,7 +19,6 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.monitor import SecureMonitor
 from repro.hw.perf import CorePerf
 from repro.hw.timer import SystemCounter
-from repro.hw.world import World
 from repro.obs.metrics import MetricsRegistry, active_registry
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -122,12 +121,9 @@ class Machine:
     # ------------------------------------------------------------------
     def secure_world_active(self) -> bool:
         """True if any core is in (or moving to/from) the secure world."""
-        # Plain loop: this is polled by every accelerated probe iteration,
-        # and a generator expression costs a frame per poll.
-        for core in self.cores:
-            if core.world is World.SECURE or core.transitioning:
-                return True
-        return False
+        # Polled by every accelerated probe iteration: the monitor's open
+        # entries answer in O(1) instead of a scan over the cores.
+        return self.monitor.any_core_lost()
 
     def next_secure_timer_fire(self) -> Optional[float]:
         """Earliest armed secure-timer fire time across all cores.

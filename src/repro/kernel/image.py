@@ -10,7 +10,6 @@ detection experiment.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Tuple
 
@@ -36,10 +35,6 @@ _CONTENT_CACHE_MAX = 4
 _CONTENT_CACHE_LOCK = threading.Lock()
 
 
-def _cache_enabled() -> bool:
-    return not os.environ.get("REPRO_NO_BOOT_CACHE")
-
-
 def image_content(image_seed: int, size: int) -> bytes:
     """Deterministic pseudo-random image bytes for ``(image_seed, size)``."""
     key = (image_seed, size)
@@ -47,11 +42,10 @@ def image_content(image_seed: int, size: int) -> bytes:
     if content is None:
         rng = np.random.Generator(np.random.PCG64(image_seed))
         content = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        if _cache_enabled():
-            with _CONTENT_CACHE_LOCK:
-                if len(_CONTENT_CACHE) >= _CONTENT_CACHE_MAX:
-                    _CONTENT_CACHE.pop(next(iter(_CONTENT_CACHE)))
-                _CONTENT_CACHE[key] = content
+        with _CONTENT_CACHE_LOCK:
+            if len(_CONTENT_CACHE) >= _CONTENT_CACHE_MAX:
+                _CONTENT_CACHE.pop(next(iter(_CONTENT_CACHE)))
+            _CONTENT_CACHE[key] = content
     return content
 
 

@@ -86,6 +86,7 @@ class CoreRunQueue:
     # ------------------------------------------------------------------
     @property
     def queued_count(self) -> int:
+        # Inlined copy: RichScheduler._should_requeue.
         return len(self.cfs) + len(self.fifo)
 
     @property
@@ -96,6 +97,7 @@ class CoreRunQueue:
     @property
     def busy(self) -> bool:
         """Does this core need a scheduling-clock tick right now?"""
+        # Inlined copy: RichScheduler._report_busy.
         return self.current is not None or self.queued_count > 0
 
     def max_fifo_priority(self) -> Optional[int]:

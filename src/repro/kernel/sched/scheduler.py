@@ -21,6 +21,7 @@ from typing import Any, Callable, List, Optional
 from repro.errors import SchedulingError, SimulationError
 from repro.hw.core import Core
 from repro.hw.platform import Machine
+from repro.hw.world import World
 from repro.kernel.sched.runqueue import CoreRunQueue
 from repro.kernel.threads import SchedPolicy, Task, TaskState
 from repro.sim.process import CpuRequest, SleepRequest, WaitRequest
@@ -30,6 +31,12 @@ _EPSILON = 1e-15
 
 #: Listener signature for busy/idle transitions: (core_index, busy).
 BusyListener = Callable[[int, bool], None]
+
+# Module-level aliases: the dispatch path tests these once or more per event.
+_NORMAL = World.NORMAL
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_SLEEPING = TaskState.SLEEPING
 
 
 class RichScheduler:
@@ -70,16 +77,34 @@ class RichScheduler:
 
     def wake(self, task: Task, send_value: Any = None) -> None:
         """Transition a sleeping/blocked/new task to READY and place it."""
-        if task.state in (TaskState.READY, TaskState.RUNNING):
+        state = task.state
+        if state is _READY or state is _RUNNING:
             return
-        if task.state is TaskState.EXITED:
+        if state is TaskState.EXITED:
             raise SchedulingError(f"cannot wake exited task {task.tid}")
         if send_value is not None:
             task.pending_send = send_value
-        task.state = TaskState.READY
-        rq = self._choose_queue(task)
+        task.state = _READY
+        pinned = task.pinned_core
+        # A pinned task (every prober thread) has exactly one queue.
+        rq = (
+            self.run_queues[pinned] if pinned is not None
+            else self._choose_queue(task)
+        )
         rq.enqueue(task)
-        self._after_enqueue(rq, task)
+        self._report_busy(rq)
+        core = self._core_of[rq.core_index]
+        if core.world is not _NORMAL or core.transitioning:
+            return  # core held by the secure world: the task waits queued
+        current = rq.current
+        if current is None:
+            self._dispatch(rq)
+        elif task.is_fifo and (
+            not current.is_fifo or current.priority < task.priority
+        ):
+            # Real-time wake-up preemption: the paper's KProber-II path.
+            self._preempt_current(rq, secure=False)
+            self._dispatch(rq)
 
     def add_busy_listener(self, listener: BusyListener) -> None:
         """Subscribe to per-core busy/idle transitions (tick management)."""
@@ -142,11 +167,6 @@ class RichScheduler:
     # Placement
     # ------------------------------------------------------------------
     def _choose_queue(self, task: Task) -> CoreRunQueue:
-        affinity = task.affinity
-        if affinity is not None and len(affinity) == 1:
-            # Pinned task (every prober thread): its sole queue, no scan.
-            for index in affinity:
-                return self.run_queues[index]
         allowed = [
             rq for rq in self.run_queues if task.allowed_on(rq.core_index)
         ]
@@ -167,27 +187,22 @@ class RichScheduler:
                     return rq
         return min(candidates, key=lambda rq: (rq.load, rq.core_index))
 
-    def _after_enqueue(self, rq: CoreRunQueue, task: Task) -> None:
-        self._report_busy(rq)
-        core = self._core_of[rq.core_index]
-        if not core.available_to_normal_world:
-            return
-        current = rq.current
-        if current is None:
-            self._dispatch(rq)
-        elif task.is_fifo and (
-            not current.is_fifo or current.priority < task.priority
-        ):
-            # Real-time wake-up preemption: the paper's KProber-II path.
-            self._preempt_current(rq, secure=False)
-            self._dispatch(rq)
-
     # ------------------------------------------------------------------
     # Dispatch / quantum machinery
     # ------------------------------------------------------------------
     def _dispatch(self, rq: CoreRunQueue) -> None:
+        """Run the next runnable task if the core is idle and the normal
+        world owns it.
+
+        Returns at once, without reporting, when a task is current or the
+        secure world holds the core.  Otherwise it picks tasks until one
+        holds a CPU request or the queue is empty, and reports the queue's
+        busy state with :meth:`_report_busy` before it returns.
+        """
+        if rq.current is not None:
+            return
         core = self._core_of[rq.core_index]
-        if rq.current is not None or not core.available_to_normal_world:
+        if core.world is not _NORMAL or core.transitioning:
             return
         while True:
             task = rq.pick_next()
@@ -195,9 +210,11 @@ class RichScheduler:
                 self._report_busy(rq)
                 return
             rq.current = task
-            task.state = TaskState.RUNNING
+            task.state = _RUNNING
             task.core_index = rq.core_index
             task.dispatch_count += 1
+            if task.gen is None:
+                task.ensure_started()
             if self._advance_until_cpu(rq, task):
                 self._begin_quantum(rq, task, new_dispatch=True)
                 self._report_busy(rq)
@@ -211,8 +228,8 @@ class RichScheduler:
 
         Returns True when the task holds a CPU request and should execute;
         False when it slept, blocked, or exited (caller re-dispatches).
+        The generator must already be started (see :meth:`_dispatch`).
         """
-        task.ensure_started()
         while not task.has_cpu_request:
             send_value, task.pending_send = task.pending_send, None
             try:
@@ -226,7 +243,7 @@ class RichScheduler:
                 task.cpu_remaining = request.seconds
                 task.has_cpu_request = True
             elif isinstance(request, SleepRequest):
-                task.state = TaskState.SLEEPING
+                task.state = _SLEEPING
                 task.sleep_count += 1
                 if rq.current is task:
                     rq.current = None
@@ -274,11 +291,16 @@ class RichScheduler:
             task.has_cpu_request = False
             task.cpu_remaining = 0.0
             if not self._advance_until_cpu(rq, task):
+                # No _report_busy after this _dispatch.  The task just gave
+                # up the core; a task it woke on the way that took the core
+                # was reported by that wake's own _dispatch.  Otherwise none
+                # is current, and since a task body does not start a secure
+                # entry on its own core while it advances, the normal world
+                # still owns the core, so _dispatch reports the queue itself.
                 self._dispatch(rq)
-                self._report_busy(rq)
                 return
         if self._should_requeue(rq, task):
-            task.state = TaskState.READY
+            task.state = _READY
             task.preempt_count += 1
             rq.current = None
             rq.enqueue(task)
@@ -288,9 +310,10 @@ class RichScheduler:
 
     def _should_requeue(self, rq: CoreRunQueue, task: Task) -> bool:
         if task.is_fifo:
-            waiting = rq.max_fifo_priority()
-            return waiting is not None and waiting > task.priority
-        return rq.queued_count > 0
+            if not rq.fifo:
+                return False  # only a waiting FIFO task can outrank it
+            return rq.max_fifo_priority() > task.priority
+        return bool(rq.cfs or rq.fifo)
 
     def _preempt_current(self, rq: CoreRunQueue, secure: bool) -> None:
         task = rq.current
@@ -300,16 +323,20 @@ class RichScheduler:
         if event is not None:
             event.cancel()
             rq.quantum_event = None
-        elapsed = min(
-            max(self.sim.now - rq.quantum_started, 0.0), rq.quantum_cpu
-        )
+        # min(max(ran, 0.0), quantum_cpu) as comparisons: same operand
+        # returned in every case, signed zeros and NaN included.
+        elapsed = self.sim.now - rq.quantum_started
+        if elapsed < 0.0:
+            elapsed = 0.0
+        if rq.quantum_cpu < elapsed:
+            elapsed = rq.quantum_cpu
         self._charge(rq, task, elapsed)
         if task.cpu_remaining <= _EPSILON:
             task.has_cpu_request = False
             task.cpu_remaining = 0.0
         task.preempt_count += 1
         task.penalty_pending = True
-        task.state = TaskState.READY
+        task.state = _READY
         rq.current = None
         rq.enqueue(task)
         if not secure:
@@ -319,14 +346,18 @@ class RichScheduler:
         if cpu_seconds <= 0:
             return
         task.total_cpu += cpu_seconds
-        task.cpu_remaining = max(task.cpu_remaining - cpu_seconds, 0.0)
+        # max(x, 0.0) keeps x unless 0.0 > x; the comparison form returns the
+        # same operand (-0.0 and NaN pass through) without a builtin call.
+        remaining = task.cpu_remaining - cpu_seconds
+        task.cpu_remaining = 0.0 if remaining < 0.0 else remaining
         if not task.is_fifo:
             task.vruntime += cpu_seconds * (1024.0 / task.weight)
-            rq.cfs_clock = max(rq.cfs_clock, task.vruntime)
+            if task.vruntime > rq.cfs_clock:
+                rq.cfs_clock = task.vruntime
 
     def _sleep_done(self, task: Task) -> None:
         task.wake_event = None
-        if task.state is TaskState.SLEEPING:
+        if task.state is _SLEEPING:
             self.wake(task)
 
     def _task_exited(self, rq: CoreRunQueue, task: Task, value: Any) -> None:
@@ -340,7 +371,8 @@ class RichScheduler:
 
     # ------------------------------------------------------------------
     def _report_busy(self, rq: CoreRunQueue) -> None:
-        busy = rq.busy
+        # CoreRunQueue.busy, tested on the plain attributes.
+        busy = not (rq.current is None and not rq.fifo and not rq.cfs)
         if busy == rq.busy_reported:
             return
         rq.busy_reported = busy

@@ -48,7 +48,7 @@ class Task:
 
     __slots__ = (
         "tid", "name", "body", "policy", "priority", "weight", "affinity",
-        "is_fifo",
+        "pinned_core", "is_fifo",
         "state", "core_index", "gen",
         "vruntime", "cpu_remaining", "has_cpu_request", "pending_send",
         "penalty_pending",
@@ -76,6 +76,12 @@ class Task:
         self.weight = weight
         #: allowed cores; None means any core (sched_setaffinity semantics).
         self.affinity = affinity
+        #: the sole allowed core of a single-core mask, else None; the
+        #: scheduler places such a task without consulting the mask.
+        self.pinned_core: Optional[int] = (
+            next(iter(affinity)) if affinity is not None and len(affinity) == 1
+            else None
+        )
         self.state = TaskState.NEW
         #: core the task is queued on / running on; None before first wake.
         self.core_index: Optional[int] = None

@@ -14,7 +14,7 @@ extra CPU time it consumed, which is stolen from the interrupted task.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.hw.core import Core
 from repro.hw.platform import Machine
@@ -35,9 +35,9 @@ class TickManager:
         self.scheduler = scheduler
         self.hz = machine.config.kernel.hz
         self.period = 1.0 / self.hz
-        self._armed: Dict[int, Optional[Event]] = {
-            core.index: None for core in machine.cores
-        }
+        #: pending tick event per core index (a list: polled on every
+        #: busy transition of every probe iteration).
+        self._armed: List[Optional[Event]] = [None] * len(machine.cores)
         #: per-core phase stagger so all cores do not tick simultaneously.
         self._phase = {
             core.index: (core.index * self.period) / len(machine.cores)

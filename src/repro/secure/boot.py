@@ -9,9 +9,7 @@ a test asserts directly.
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import IntrospectionError
@@ -23,46 +21,10 @@ from repro.secure.hashes import djb2
 #: (offset, length) pair describing one introspection area.
 AreaSpan = Tuple[int, int]
 
-#: Process-scoped cache of trusted-boot digest tables, keyed by the image
-#: identity (seed, size, a strided content fingerprint) and the exact area
-#: partition.  Fork-pool campaign workers rebuild an identical pristine
-#: image every trial; re-deriving ~12 MB of djb2 per build is pure waste.
-#: Hits are verified by re-hashing the first and last spans against the
-#: live image, so a stale or colliding entry can never go unnoticed —
-#: a mismatch falls back to the full recompute.  The cache is invisible to
-#: simulated state (table bytes are still written to secure SRAM) and is
-#: never metered into a trial's MetricsRegistry, keeping campaign
-#: manifests byte-identical with or without it.
-_DIGEST_CACHE: Dict[tuple, Tuple[int, ...]] = {}
-
-_DIGEST_CACHE_MAX = 64
-
-#: Guards cache mutation under the thread executor backend (concurrent
-#: trials in one process); lookups stay lock-free.
-_DIGEST_CACHE_LOCK = threading.Lock()
-
-#: module-level (not per-registry) counters, exposed for the bench CLI.
-DIGEST_CACHE_STATS = {"hits": 0, "misses": 0, "rejected": 0}
-
-#: stride of the content fingerprint sample; 64 KiB over a ~12 MB image
-#: touches ~182 bytes.
-_FINGERPRINT_STRIDE = 1 << 16
-
-
-def _boot_cache_enabled() -> bool:
-    return not os.environ.get("REPRO_NO_BOOT_CACHE")
-
-
-def _image_fingerprint(image: KernelImage) -> Tuple[int, int, int]:
-    """Cheap identity of the pristine image content.
-
-    Seed and size fully determine generated content, but runtime writes
-    (symbol tables at boot, down-sized test images) also shape what the
-    trusted boot stage hashes — the strided sample catches those.
-    """
-    view = image.view(0, image.size, World.SECURE)
-    sample = bytes(view[::_FINGERPRINT_STRIDE])
-    return (image.config.image_seed, image.size, djb2(sample))
+#: Module-level boot counters read by the end-to-end benchmark harness.
+#: Every boot hashes every area (``misses``); ``hits`` stays 0 because no
+#: digest table is ever reused across boots.
+DIGEST_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
 class AuthorizedHashStore:
@@ -88,53 +50,17 @@ class AuthorizedHashStore:
         self._index_of: Dict[AreaSpan, int] = {}
 
     # ------------------------------------------------------------------
-    def compute_at_boot(
-        self, image: KernelImage, areas: Sequence[AreaSpan], cache: bool = True
-    ) -> None:
-        """Hash the pristine image per area and persist the digests.
-
-        ``cache=False`` (or ``REPRO_NO_BOOT_CACHE=1``) forces the full
-        per-area recompute regardless of the process-level digest cache.
-        """
+    def compute_at_boot(self, image: KernelImage, areas: Sequence[AreaSpan]) -> None:
+        """Hash the image per area and persist the digests in secure SRAM."""
         if len(areas) > self.capacity_entries:
             raise IntrospectionError(
                 f"{len(areas)} areas exceed table capacity {self.capacity_entries}"
             )
         self._spans = list(areas)
         self._index_of = {span: i for i, span in enumerate(self._spans)}
-        digests = None
-        key = None
-        use_cache = cache and _boot_cache_enabled()
-        if use_cache:
-            key = (_image_fingerprint(image), tuple(self._spans))
-            digests = _DIGEST_CACHE.get(key)
-        if digests is not None and self._spans:
-            # Trust but verify: re-hash the first and last spans live.
-            for probe in {0, len(self._spans) - 1}:
-                offset, length = self._spans[probe]
-                if djb2(image.view(offset, length, World.SECURE)) != digests[probe]:
-                    DIGEST_CACHE_STATS["rejected"] += 1
-                    digests = None
-                    break
-        if digests is None:
-            if key is not None:
-                with _DIGEST_CACHE_LOCK:
-                    _DIGEST_CACHE.pop(key, None)
-            digests = tuple(
-                djb2(image.view(offset, length, World.SECURE))
-                for offset, length in self._spans
-            )
-            DIGEST_CACHE_STATS["misses"] += 1
-            if use_cache:
-                with _DIGEST_CACHE_LOCK:
-                    if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-                        _DIGEST_CACHE.pop(next(iter(_DIGEST_CACHE)))
-                    _DIGEST_CACHE[key] = digests
-        else:
-            DIGEST_CACHE_STATS["hits"] += 1
-        # The table bytes always land in secure SRAM: the simulated state is
-        # identical whether or not the host-side cache was consulted.
-        for i, digest in enumerate(digests):
+        DIGEST_CACHE_STATS["misses"] += 1
+        for i, (offset, length) in enumerate(self._spans):
+            digest = djb2(image.view(offset, length, World.SECURE))
             self.memory.write(
                 self.table_base + i * self.ENTRY_SIZE,
                 struct.pack("<Q", digest),

@@ -234,28 +234,6 @@ class EventQueue:
             return event
         return None
 
-    def pop_next(self, limit: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event at time <= ``limit`` (peek + pop fused).
-
-        Events beyond ``limit`` stay queued; cancelled entries encountered on
-        the way are swept out of the heap (their live count was already
-        debited by :meth:`Event.cancel`).
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event.cancelled:
-                heappop(heap)
-                continue
-            if limit is not None and head[0] > limit:
-                return None
-            heappop(heap)
-            event._owner = None
-            self._live -= 1
-            return event
-        return None
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it."""
         heap = self._heap

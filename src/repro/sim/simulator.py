@@ -6,9 +6,9 @@ behaviour as callbacks scheduled here.  Time is a float in *seconds* of
 simulated wall-clock time; the clock only moves when events fire.
 
 The run loop is the hottest code in the repository: every scheduler quantum,
-timer tick, probe read and scan chunk passes through it.  It therefore pops
-the heap exactly once per event (no separate peek), keeps the queue methods
-in locals, and resolves metric handles once when a registry is attached
+timer tick, probe read and scan chunk passes through it.  It therefore works
+on the queue's heap directly (peek, sweep cancelled entries, pop — no call
+per event), and resolves metric handles once when a registry is attached
 instead of by name on every ``run()``.
 
 Event accounting understands :class:`~repro.sim.events.SpanEvent`: a fused
@@ -20,6 +20,7 @@ one-event-per-chunk engine even when a window boundary slices a scan.
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -187,7 +188,10 @@ class Simulator:
         self.stop_requested = False
         started_at = self.now
         fired = 0
-        pop_next = self._queue.pop_next
+        queue = self._queue
+        heap = queue._heap
+        limit = until if until is not None else float("inf")
+        budget = max_events if max_events is not None else float("inf")
         spans = self._inflight_spans
         # Chunk-accounting limit for spans still pending when the loop
         # exits: events up to `until` would have fired at a window boundary,
@@ -198,13 +202,25 @@ class Simulator:
                 if self.stop_requested:
                     exit_limit = self.now
                     break
-                if max_events is not None and fired >= max_events:
+                if fired >= budget:
                     exit_limit = self.now
                     break
-                event = pop_next(until)
-                if event is None:
+                # Pop the earliest live event at time <= limit.  Cancelled
+                # entries are swept out on the way; Event.cancel() already
+                # debited their live count.
+                while heap:
+                    time, _, event = heap[0]
+                    if event.cancelled:
+                        heappop(heap)
+                        continue
                     break
-                time = event.time
+                else:
+                    break  # queue drained
+                if time > limit:
+                    break
+                heappop(heap)
+                event._owner = None
+                queue._live -= 1
                 if time < self.now:
                     raise SimulationError("event queue produced an out-of-order event")
                 self.now = time

@@ -38,18 +38,39 @@ def test_unknown_cluster_raises():
 
 
 def test_secure_world_active_tracks_core_state():
-    machine = build_machine(small_config())
-    assert not machine.secure_world_active()
+    for second_entry, switch_fault in (
+        (None, None),
+        (0.5005, None),  # core 1 enters while core 0 is still secure
+        (0.5005, 2e-3),  # and every world switch takes 2 ms longer
+    ):
+        machine = build_machine(small_config())
+        assert not machine.secure_world_active()
+        census = []
 
-    def payload(core):
-        yield cpu(1e-3)
+        def check(_time, _seq, machine=machine, census=census):
+            # The monitor's open entries against a scan of every core.
+            scanned = any(
+                c.world is World.SECURE or c.transitioning for c in machine.cores
+            )
+            assert machine.secure_world_active() == scanned
+            census.append(scanned)
 
-    machine.monitor.register_secure_handler(29, payload)
-    machine.core(0).secure_timer.program_wakeup(0.5, World.SECURE)
-    machine.run(until=0.5001)
-    assert machine.secure_world_active()
-    machine.run(until=0.6)
-    assert not machine.secure_world_active()
+        machine.sim.set_fire_hook(check)
+
+        def payload(core):
+            yield cpu(1e-3)
+
+        machine.monitor.register_secure_handler(29, payload)
+        if switch_fault is not None:
+            machine.monitor.switch_fault = lambda core, extra=switch_fault: extra
+        machine.core(0).secure_timer.program_wakeup(0.5, World.SECURE)
+        if second_entry is not None:
+            machine.core(1).secure_timer.program_wakeup(second_entry, World.SECURE)
+        machine.run(until=0.5001)
+        assert machine.secure_world_active()
+        machine.run(until=0.6)
+        assert not machine.secure_world_active()
+        assert True in census and False in census
 
 
 def test_next_secure_timer_fire_is_minimum():

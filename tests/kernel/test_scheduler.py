@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import SchedulingError
+from repro.hw.platform import build_machine
 from repro.hw.world import World
+from repro.kernel.os import boot_rich_os
 from repro.kernel.threads import SchedPolicy, Task, TaskState, pin_to
 from repro.sim.process import Signal, cpu, sleep, wait
+from tests.conftest import small_config
 
 
 def _burn(amount, done, machine):
@@ -65,29 +68,60 @@ def test_equal_priority_fifo_runs_to_completion(stack):
     assert [n for n, _ in done] == ["first", "second"]
 
 
-def test_pinned_task_freezes_while_core_in_secure_world(stack):
-    machine, rich_os = stack
-    from repro.sim.process import cpu as cpu_req
+def test_pinned_task_freezes_while_core_in_secure_world():
+    for k, realtime, counts in (
+        (0, False, (22, 21, 21)),
+        # A pin_to(k) FIFO task spawned without core_index, sleeping between
+        # bursts beside a CFS hog: every wake must place it back on core k,
+        # also while k is in the secure world.
+        (3, True, (116, 15, 15)),
+    ):
+        machine = build_machine(small_config())
+        rich_os = boot_rich_os(machine)
+        progress = []
 
-    progress = []
+        def worker(task):
+            for _ in range(100):
+                yield cpu(1e-3)
+                progress.append((machine.now, task.core_index))
+                if realtime:
+                    yield sleep(2e-4)
 
-    def worker(task):
-        for _ in range(100):
-            yield cpu_req(1e-3)
-            progress.append(machine.now)
+        def hog(task):
+            while True:
+                yield cpu(1e-3)
 
-    rich_os.spawn("pinned", worker, affinity=pin_to(0))
+        if realtime:
+            rich_os.spawn("hog", hog, affinity=pin_to(k))
+            task = rich_os.spawn_realtime("pinned", worker, affinity=pin_to(k))
+        else:
+            task = rich_os.spawn("pinned", worker, affinity=pin_to(k))
 
-    def payload(core):
-        yield cpu_req(0.05)
+        def payload(core):
+            yield cpu(0.05)
 
-    machine.run(until=0.01)
-    machine.monitor.request_secure_entry(machine.core(0), payload)
-    machine.run(until=0.1)
-    # No progress during [0.01, 0.06] while the core was in secure world.
-    gap = [t for t in progress if 0.012 < t < 0.058]
-    assert gap == []
-    assert any(t > 0.06 for t in progress)  # resumed afterwards
+        def short_payload(core):
+            yield cpu(7e-4)
+
+        core = machine.core(k)
+        machine.run(until=0.01)
+        machine.monitor.request_secure_entry(core, payload)
+        machine.run(until=0.1)
+        # No progress during [0.01, 0.06] while the core was in secure world.
+        assert [t for t, _ in progress if 0.012 < t < 0.058] == []
+        assert any(t > 0.06 for t, _ in progress)  # resumed afterwards
+        # Short secure entries between the remaining bursts.
+        for _ in range(20):
+            machine.run_for(2.3e-3)
+            if core.available_to_normal_world:
+                machine.monitor.request_secure_entry(core, short_payload)
+        machine.run(until=1.0)
+        assert task.state is TaskState.EXITED
+        assert [index for _, index in progress] == [k] * 100
+        # The dispatch path's counts, unchanged by how the queue is chosen.
+        assert (
+            task.dispatch_count, task.preempt_count, task.secure_preempt_count
+        ) == counts
 
 
 def test_unpinned_task_prefers_available_cores(stack):
