@@ -17,7 +17,9 @@ simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (generated
 kernel image bytes, a pure function of image seed and size).  On
 fork-based pools the supervisor's warm cache is inherited by every worker
 for free; spawned workers warm their own on the first trial.  Trusted boot
-always hashes the live image: a digest table is never reused.
+always hashes the live image: a digest table is never reused, and the
+scan hash reuses a digest only for a byte-identical input (the per-thread
+memo in :mod:`repro.secure.hashes` compares every byte).
 """
 
 from __future__ import annotations

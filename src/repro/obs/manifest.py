@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -137,19 +138,23 @@ def build_manifest(
 def write_manifest(directory: str, manifest: Dict[str, Any]) -> str:
     """Write ``manifest.json`` into ``directory``; returns the path.
 
-    Crash-atomic (tmp-file + fsync + rename): a campaign killed mid-write
-    leaves either the previous manifest or the new one, never a torn
-    JSON document — the service's crash recovery reads manifests from
+    Crash-atomic (tmp-file + fsync + rename + directory fsync): a
+    campaign killed mid-write leaves either the previous manifest or the
+    new one, never a torn JSON document, and a host crash cannot roll
+    back the rename — the service's crash recovery reads manifests from
     resumed runs and must be able to trust them.
     """
+    from repro.service.journal import fsync_dir
+
     path = os.path.join(directory, MANIFEST_NAME)
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, sort_keys=True, indent=1)
         handle.write("\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fsync_dir(os.path.dirname(path) or ".")
     return path
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.obs.manifest import (
     load_manifest,
     render_histogram,
     render_manifest,
+    write_manifest,
 )
 
 
@@ -148,3 +151,33 @@ def test_cached_rerun_fingerprint_matches_original(tmp_path):
     assert manifest_fingerprint(
         load_manifest(first.manifest_path)
     ) == manifest_fingerprint(load_manifest(second.manifest_path))
+
+
+def test_write_manifest_syncs_directory_after_rename(tmp_path, monkeypatch):
+    path = str(tmp_path / MANIFEST_NAME)
+    replaced = []
+    synced = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def spy_replace(src, dst):
+        real_replace(src, dst)
+        replaced.append((src, dst))
+
+    def spy_fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        synced.append((is_dir, len(replaced)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "replace", spy_replace)
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    manifest = {"schema": MANIFEST_SCHEMA, "totals": {"trials": 2}, "b": [1.5, "x"]}
+    assert write_manifest(str(tmp_path), manifest) == path
+    # The tmp file is pid- and thread-unique, like the service's writers.
+    [(tmp, dst)] = replaced
+    assert dst == path
+    assert tmp == f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    # File contents synced before the rename, the directory after it.
+    assert synced == [(False, 0), (True, 1)]
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+    assert os.listdir(tmp_path) == [MANIFEST_NAME]

@@ -5,7 +5,7 @@ import pytest
 from repro.hw.platform import SECURE_SRAM_BASE
 from repro.hw.world import World
 from repro.secure.boot import AuthorizedHashStore
-from repro.secure.hashes import djb2
+from repro.secure.hashes import djb2, djb2_reference
 from repro.secure.introspect import check_area, scan_area
 from repro.secure.snapshot import SecureSnapshotBuffer
 from repro.sim.process import run_coroutine
@@ -152,3 +152,63 @@ def test_snapshot_scan_matches_direct_scan(stack):
     )
     assert digest == direct
     assert buffer.snapshots_taken == 1
+
+
+def test_repeated_scans_see_a_byte_flipped_through_a_view(stack):
+    """E1 scans one area over and over; the scan hash's memo must not hide
+    a byte changed through a raw memory view, which bumps no write count."""
+    machine, rich_os = stack
+    store = AuthorizedHashStore(machine.memory, SECURE_SRAM_BASE)
+    span = (4096, 64 * 1024)
+    store.compute_at_boot(rich_os.image, [span])
+
+    def check():
+        result, _ = _drive_secure(
+            machine, machine.core(0),
+            lambda core: check_area(
+                rich_os.image, store, core, span[0], span[1], chunk_size=span[1]
+            ),
+        )
+        return result
+
+    for _ in range(3):
+        assert check().match
+    writes = rich_os.image.write_count
+    raw = machine.memory.view(rich_os.image.addr_of(span[0] + 1234), 1, World.NORMAL)
+    raw[0] ^= 0x40
+    assert rich_os.image.write_count == writes
+    assert not check().match
+    raw[0] ^= 0x40
+    assert check().match
+
+
+def test_snapshot_hash_sees_a_corrupted_second_copy(stack):
+    machine, rich_os = stack
+    buffer = SecureSnapshotBuffer(machine.memory, SECURE_SRAM_BASE + 0x10000, 1 << 20)
+    length = 64 * 1024
+    clean = djb2(rich_os.image.read(0, length, World.SECURE))
+
+    def corrupt_second(offset, chunk):
+        if buffer.snapshots_taken != 2:
+            return chunk
+        corrupted = bytearray(chunk)
+        corrupted[-1] ^= 1
+        return bytes(corrupted)
+
+    buffer.fault_hook = corrupt_second
+
+    def take():
+        (digest, _copy), _ = _drive_secure(
+            machine, machine.core(0),
+            lambda core: buffer.take_and_hash(
+                core, rich_os.image.addr_of(0), length, chunk_size=length
+            ),
+        )
+        return digest
+
+    corrupted = bytearray(rich_os.image.read(0, length, World.SECURE))
+    corrupted[-1] ^= 1
+    assert take() == clean
+    assert take() == djb2_reference(corrupted) != clean
+    assert take() == clean
+    assert buffer.snapshots_taken == 3
