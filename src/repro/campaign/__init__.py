@@ -1,9 +1,9 @@
 """Parallel Monte-Carlo campaign engine with a content-addressed cache.
 
-Fans a grid of platform presets x seed ranges out across a worker pool
-(:mod:`repro.campaign.pool`), memoises completed trials in JSONL shards
-under ``.repro-cache/`` (:mod:`repro.campaign.store`), and merges the
-results through :mod:`repro.analysis.stats` into aggregate
+Fans a grid of platform presets x seed ranges out through the task
+supervisor (:mod:`repro.service.executors`), memoises completed trials in
+JSONL shards under ``.repro-cache/`` (:mod:`repro.campaign.store`), and
+merges the results through :mod:`repro.analysis.stats` into aggregate
 paper-vs-measured tables (:mod:`repro.campaign.runner`).
 
 Entry points::
@@ -20,7 +20,6 @@ from repro.campaign.digest import (
     stable_digest,
     trial_key,
 )
-from repro.campaign.pool import TrialOutcome, run_tasks
 from repro.campaign.progress import ProgressMeter
 from repro.campaign.runner import (
     CampaignResult,
@@ -31,6 +30,7 @@ from repro.campaign.runner import (
     run_sweep,
 )
 from repro.campaign.store import ResultStore
+from repro.service.executors import TrialOutcome
 
 __all__ = [
     "CODE_VERSION",
@@ -44,7 +44,6 @@ __all__ = [
     "canonical_form",
     "run_campaign",
     "run_sweep",
-    "run_tasks",
     "stable_digest",
     "trial_key",
 ]

@@ -7,8 +7,8 @@ crossed with a seed range, all running one experiment.  The runner:
    (preset-major, then seed) and computes each trial's content address;
 2. consults the :class:`~repro.campaign.store.ResultStore` — with
    ``resume=True`` completed trials are served from cache;
-3. fans the misses out across the :mod:`~repro.campaign.pool` with
-   per-trial timeout, crash isolation and bounded retry;
+3. fans the misses out through :func:`~repro.service.executors.execute_tasks`
+   with per-trial timeout, crash isolation and bounded retry;
 4. merges all records through :mod:`repro.analysis.stats` into
    paper-vs-measured aggregate tables.
 
@@ -27,13 +27,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Union
 from repro.analysis.stats import Summary, mean_ci
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest, trial_key
-from repro.campaign.pool import DEFAULT_MAX_ATTEMPTS, TrialOutcome
 from repro.campaign.progress import ProgressMeter
 from repro.campaign.store import ResultStore
 from repro.campaign.trials import DEFAULT_PRESET, build_trial_config
 from repro.errors import CampaignError
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import MetricsRegistry
+from repro.service.executors import DEFAULT_MAX_ATTEMPTS, TrialOutcome
 
 #: Type of the optional sweep observer: ``observer(event, info)`` fires on
 #: "cached", "done", "failed", "retry" and "cancelled" — the service uses
@@ -92,6 +92,8 @@ class CampaignSpec:
 
         if not self.seeds:
             raise CampaignError("campaign needs at least one seed")
+        if self.jobs < 0:
+            raise CampaignError(f"jobs must be >= 0, got {self.jobs}")
         if self.adaptive:
             if self.ci_width is None or self.ci_width <= 0:
                 raise CampaignError("--adaptive needs --ci-width > 0")

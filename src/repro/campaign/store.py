@@ -45,6 +45,8 @@ import os
 import warnings
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.durable import atomic_write_json
+
 #: Shard fan-out: one shard per first hex digit of the key.
 SHARD_COUNT = 16
 
@@ -457,11 +459,7 @@ class ResultStore:
         """Mark ``key`` as a golden run gc must never touch."""
         pins = self.pinned_keys()
         pins.add(key)
-        tmp = self.pins_path() + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(sorted(pins), handle, indent=1)
-            handle.write("\n")
-        os.replace(tmp, self.pins_path())
+        atomic_write_json(self.pins_path(), sorted(pins))
 
     def gc(self, dry_run: bool = False) -> Dict[str, Any]:
         """Compact shards and the quarantine file; returns a report.

@@ -236,17 +236,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.errors import CampaignError
+
     jobs = args.jobs
     if jobs is None and args.full:
         # Paper-scale suites go through the campaign worker pool.
         jobs = os.cpu_count() or 1
-    text = generate_report(
-        seed=args.seed,
-        full=args.full,
-        only=args.only if args.only else None,
-        progress=lambda msg: print(msg, file=sys.stderr),
-        jobs=jobs,
-    )
+    try:
+        text = generate_report(
+            seed=args.seed,
+            full=args.full,
+            only=args.only if args.only else None,
+            progress=lambda msg: print(msg, file=sys.stderr),
+            jobs=jobs,
+        )
+    except CampaignError as error:
+        print(error.args[0], file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

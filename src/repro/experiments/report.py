@@ -150,14 +150,15 @@ def _run_specs_parallel(
     jobs: int,
     progress: "Callable[[str], None] | None",
 ) -> Dict[str, ExperimentResult]:
-    """Fan the chosen experiments out across the campaign worker pool.
+    """Fan the chosen experiments out through the campaign task supervisor.
 
-    Each experiment is one pool task (crash-isolated, retried once), and
-    results are reassembled in spec order, so the report text is
-    byte-identical to the serial path for the same seed.
+    Each experiment is one task (crash-isolated on the fork pool, retried
+    once; ``jobs == 0`` runs inline), and results are reassembled in spec
+    order, so the report text is byte-identical to the serial path for the
+    same seed.
     """
-    from repro.campaign.pool import run_tasks
     from repro.campaign.runner import TRIAL_FN
+    from repro.service.executors import execute_tasks, make_executor
 
     tasks = [
         {
@@ -174,7 +175,14 @@ def _run_specs_parallel(
             state = "done" if outcome.ok else outcome.status
             progress(f"{task['experiment_id']}: {state}")
 
-    outcomes = run_tasks(tasks, TRIAL_FN, jobs=jobs, on_final=on_final)
+    executor = make_executor("auto", jobs=jobs)
+    if progress is not None:
+        progress(
+            f"running {len(chosen)} experiments across {jobs or 1} worker(s) ..."
+        )
+    outcomes, cancelled = execute_tasks(tasks, TRIAL_FN, executor, on_final=on_final)
+    if cancelled:
+        raise KeyboardInterrupt
     results: Dict[str, ExperimentResult] = {}
     for spec in chosen:
         outcome = outcomes[spec.experiment_id]
@@ -205,19 +213,15 @@ def generate_report(
 
     ``jobs=None`` runs everything serially in-process (the historical
     behaviour); any integer routes the experiments through the campaign
-    worker pool (``jobs`` workers; 0 = the pool's inline serial mode).
-    Both paths render identical text for the same seed.
+    task supervisor (``jobs`` fork workers; 0 = its inline serial mode;
+    negative raises :class:`~repro.errors.CampaignError`).  Both paths
+    render identical text for the same seed.
     """
     chosen = (
         [spec_by_id(eid) for eid in only] if only else list(EXPERIMENT_SPECS)
     )
     parallel: Dict[str, ExperimentResult] = {}
     if jobs is not None:
-        if progress is not None:
-            progress(
-                f"running {len(chosen)} experiments across "
-                f"{jobs or 1} worker(s) ..."
-            )
         parallel = _run_specs_parallel(chosen, seed, full, jobs, progress)
     scale = "full (paper-scale)" if full else "fast"
     sections: List[str] = [

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest
-from repro.campaign.pool import DEFAULT_MAX_ATTEMPTS
 from repro.campaign.runner import DEFAULT_CACHE_DIR, Observer, run_sweep
 from repro.campaign.trials import DEFAULT_PRESET
 from repro.config import preset_config
@@ -32,6 +31,7 @@ from repro.errors import CampaignError, FaultInjectionError
 from repro.faults.injector import OUTCOMES, FaultInjector
 from repro.faults.plan import FaultPlan, plan_by_name
 from repro.obs.manifest import build_manifest, write_manifest
+from repro.service.executors import DEFAULT_MAX_ATTEMPTS
 
 #: Import path of the worker-side chaos trial function.
 CHAOS_TRIAL_FN = "repro.faults.chaos:run_chaos_trial"

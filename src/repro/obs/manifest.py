@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.durable import atomic_write_json
 from repro.errors import ObservabilityError
 from repro.obs.metrics import bucket_bound, merge_snapshots
 
@@ -144,17 +144,8 @@ def write_manifest(directory: str, manifest: Dict[str, Any]) -> str:
     back the rename — the service's crash recovery reads manifests from
     resumed runs and must be able to trust them.
     """
-    from repro.service.journal import fsync_dir
-
     path = os.path.join(directory, MANIFEST_NAME)
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(os.path.dirname(path) or ".")
+    atomic_write_json(path, manifest)
     return path
 
 

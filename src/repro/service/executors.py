@@ -1,9 +1,9 @@
 """Pluggable executor backends behind one submit/poll/cancel/drain interface.
 
-The campaign engine used to be hard-wired to its local fork pool; this
-module puts an :class:`Executor` interface between the supervision logic
-(retry budgets, quarantine, metrics, cancellation) and the execution
-substrate.  Backends:
+The one task supervisor for campaigns, chaos sweeps, ``repro report`` and
+``repro serve``: an :class:`Executor` interface between the supervision
+logic (retry budgets, quarantine, metrics, cancellation) and the
+execution substrate.  Backends:
 
 ``inline``
     Serial in-process execution — the reference path every other backend
@@ -12,9 +12,9 @@ substrate.  Backends:
     A pool of daemon threads in the supervisor process.  Cheap start-up,
     shares the GIL (good for I/O-ish trials and tests); no timeout kill.
 ``fork``
-    The crash-isolated fork pool (one OS process per worker, per-trial
-    timeout kill, respawn with deterministic backoff) — the PR 1
-    machinery, refactored behind the interface.
+    The crash-isolated fork pool: one OS process per worker slot
+    (:class:`_WorkerSlot` running :func:`_worker_main`), per-trial
+    timeout kill, respawn with deterministic backoff.
 ``queue``
     A file-system queue (:mod:`repro.service.queue`) drained by
     ``python -m repro worker --queue DIR`` processes, so many processes
@@ -25,26 +25,25 @@ All backends speak :class:`ExecMessage` and are driven by
 place cooperative cancellation (``cancel_event`` or ``KeyboardInterrupt``)
 is handled.  Determinism contract: a backend affects only *where* a trial
 runs, never its payload, so merged campaign results are backend-invariant.
+
+Trial functions cross process boundaries as ``"module:function"`` paths
+(:func:`resolve_function`).  The fork start method is preferred (workers
+inherit the loaded simulator modules, so spin-up is milliseconds); spawn
+is the fallback on platforms without fork.
 """
 
 from __future__ import annotations
 
+import importlib
+import multiprocessing
 import queue as queue_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.pool import (
-    DEFAULT_RESPAWN_BACKOFF_BASE,
-    DEFAULT_RESPAWN_BACKOFF_CAP,
-    TrialOutcome,
-    _pool_context,
-    _respawn_backoff,
-    _WorkerSlot,
-    resolve_function,
-)
 from repro.errors import CampaignError, ServiceError
 
 #: Supported backend names (``auto`` resolves by jobs count).
@@ -52,6 +51,155 @@ BACKENDS = ("inline", "thread", "fork", "queue")
 
 #: Supervision loop poll granularity, seconds.
 _POLL_INTERVAL = 0.05
+
+#: Default attempts per trial: the first run plus one retry.
+DEFAULT_MAX_ATTEMPTS = 2
+
+#: Respawn backoff: first cooldown after a kill, and the exponential cap.
+#: A worker dying repeatedly (OOM storm, broken native dep) must not be
+#: respawned in a tight loop — each consecutive crash doubles the cooldown.
+DEFAULT_RESPAWN_BACKOFF_BASE = 0.25
+DEFAULT_RESPAWN_BACKOFF_CAP = 10.0
+
+
+def _respawn_backoff(key: str, crash_count: int, base: float, cap: float) -> float:
+    """Capped exponential backoff with deterministic jitter.
+
+    The jitter (up to +25%) is derived from ``sha256(key:crash_count)``
+    rather than a live RNG, so a re-run of the same failing campaign
+    produces the same cooldown schedule — wall-clock behaviour stays as
+    reproducible as the trial results themselves.
+    """
+    delay = min(cap, base * (2.0 ** max(0, crash_count - 1)))
+    digest = sha256(f"{key}:{crash_count}".encode("utf-8")).digest()
+    fraction = int.from_bytes(digest[:4], "big") / 0xFFFFFFFF
+    return min(cap, delay * (1.0 + 0.25 * fraction))
+
+
+def resolve_function(path: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """Resolve a ``"package.module:function"`` path to a callable."""
+    module_name, _, attr = path.partition(":")
+    if not module_name or not attr:
+        raise CampaignError(f"bad trial-function path {path!r} (want 'module:function')")
+    module = importlib.import_module(module_name)
+    try:
+        return getattr(module, attr)
+    except AttributeError:
+        raise CampaignError(f"{module_name!r} has no attribute {attr!r}") from None
+
+
+@dataclass
+class TrialOutcome:
+    """Final fate of one task after all attempts."""
+
+    key: str
+    status: str  # "ok" | "error" | "timeout" | "crashed"
+    payload: Optional[Dict[str, Any]] = None
+    error: Optional[str] = None
+    elapsed: float = 0.0
+    attempts: int = 0
+    #: non-final failures absorbed by the retry budget, e.g. ["timeout"].
+    failures: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+
+def _worker_main(fn_path: str, task_queue, result_queue) -> None:
+    """Worker loop: apply the trial function until a ``None`` sentinel."""
+    fn = resolve_function(fn_path)
+    while True:
+        task = task_queue.get()
+        if task is None:
+            return
+        started = time.monotonic()
+        try:
+            payload = fn(task)
+            result_queue.put(
+                {
+                    "key": task["key"],
+                    "ok": True,
+                    "payload": payload,
+                    "elapsed": time.monotonic() - started,
+                }
+            )
+        except BaseException:
+            result_queue.put(
+                {
+                    "key": task["key"],
+                    "ok": False,
+                    "error": traceback.format_exc(limit=20),
+                    "elapsed": time.monotonic() - started,
+                }
+            )
+
+
+class _WorkerSlot:
+    """One worker process plus its private task queue and current task."""
+
+    def __init__(self, context, fn_path: str, result_queue) -> None:
+        self._context = context
+        self._fn_path = fn_path
+        self._result_queue = result_queue
+        self.task_queue = context.Queue()
+        self.current: Optional[Dict[str, Any]] = None
+        self.started_at = 0.0
+        #: consecutive kills of this slot's process; reset by any clean
+        #: result, drives the respawn cooldown.
+        self.crash_count = 0
+        self.cooldown_until = 0.0
+        self.process = context.Process(
+            target=_worker_main,
+            args=(fn_path, self.task_queue, result_queue),
+            daemon=True,
+        )
+        self.process.start()
+
+    @property
+    def busy(self) -> bool:
+        return self.current is not None
+
+    def assign(self, task: Dict[str, Any]) -> None:
+        self.current = task
+        self.started_at = time.monotonic()
+        self.task_queue.put(task)
+
+    def respawn(self) -> None:
+        """Kill the current process (if needed) and start a fresh one."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():  # pragma: no cover - stubborn child
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.task_queue.close()
+        self.task_queue = self._context.Queue()
+        self.current = None
+        self.process = self._context.Process(
+            target=_worker_main,
+            args=(self._fn_path, self.task_queue, self._result_queue),
+            daemon=True,
+        )
+        self.process.start()
+
+    def shutdown(self) -> None:
+        try:
+            self.task_queue.put(None)
+        except (ValueError, OSError):  # pragma: no cover - queue closed
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+
+
+def _pool_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        return multiprocessing.get_context("spawn")
+
 
 
 @dataclass
@@ -253,12 +401,13 @@ class ThreadExecutor(Executor):
 
 
 class ForkExecutor(Executor):
-    """The crash-isolated fork pool from :mod:`repro.campaign.pool`.
+    """The crash-isolated fork pool.
 
-    Reuses the pool's worker slots (private task queue per process, shared
-    result queue) and its deterministic respawn backoff; what used to be
-    the middle of ``run_tasks`` is now ``poll`` — collect results, then
-    police timeouts and crashed workers into failure messages.
+    Worker slots (private task queue per process, shared result queue)
+    grow lazily to ``jobs``; ``poll`` collects results, then polices
+    timeouts and crashed workers into failure messages.  A slot whose
+    process had to be killed cools down for :func:`_respawn_backoff`
+    (the ``DEFAULT_RESPAWN_BACKOFF_*`` constants) before new work.
     """
 
     name = "fork"
@@ -269,16 +418,12 @@ class ForkExecutor(Executor):
         jobs: int,
         timeout: Optional[float] = None,
         metrics: Optional[Any] = None,
-        respawn_backoff_base: float = DEFAULT_RESPAWN_BACKOFF_BASE,
-        respawn_backoff_cap: float = DEFAULT_RESPAWN_BACKOFF_CAP,
     ) -> None:
         if jobs < 1:
             raise ServiceError(f"fork backend needs jobs >= 1, got {jobs}")
         self.jobs = jobs
         self.timeout = timeout
         self.metrics = metrics
-        self.respawn_backoff_base = respawn_backoff_base
-        self.respawn_backoff_cap = respawn_backoff_cap
         self._context = None
         self._result_queue = None
         self._slots: List[_WorkerSlot] = []
@@ -318,7 +463,8 @@ class ForkExecutor(Executor):
     def _cool_down(self, slot: _WorkerSlot, key: str) -> None:
         slot.crash_count += 1
         delay = _respawn_backoff(
-            key, slot.crash_count, self.respawn_backoff_base, self.respawn_backoff_cap
+            key, slot.crash_count,
+            DEFAULT_RESPAWN_BACKOFF_BASE, DEFAULT_RESPAWN_BACKOFF_CAP,
         )
         slot.cooldown_until = time.monotonic() + delay
         self._count("campaign.respawn_backoffs")
@@ -412,7 +558,7 @@ def execute_tasks(
     tasks: List[Dict[str, Any]],
     fn_path: str,
     executor: Executor,
-    max_attempts: int = 2,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     on_final: Optional[Callable[[Dict[str, Any], TrialOutcome], None]] = None,
     on_retry: Optional[Callable[[Dict[str, Any], str], None]] = None,
     metrics: Optional[Any] = None,
@@ -420,9 +566,9 @@ def execute_tasks(
 ) -> Tuple[Dict[str, TrialOutcome], bool]:
     """Drive every task through ``executor``; returns ``(outcomes, cancelled)``.
 
-    Backend-agnostic version of the pool's supervision loop: dispatch to
-    capacity, collect :class:`ExecMessage` results, re-dispatch failures
-    until the attempt budget is spent, then finalize as quarantined.
+    The supervision loop: dispatch to capacity, collect
+    :class:`ExecMessage` results, re-dispatch failures until the attempt
+    budget is spent, then finalize as quarantined.
     Setting ``cancel_event`` (or hitting the process with SIGINT) stops
     dispatch, cancels the executor, and returns the outcomes completed so
     far with ``cancelled=True`` — callers still merge and persist those.
@@ -513,8 +659,6 @@ def make_executor(
     metrics: Optional[Any] = None,
     queue_dir: Optional[str] = None,
     queue_workers: int = 0,
-    respawn_backoff_base: float = DEFAULT_RESPAWN_BACKOFF_BASE,
-    respawn_backoff_cap: float = DEFAULT_RESPAWN_BACKOFF_CAP,
 ) -> Executor:
     """Build the executor for a backend name.
 
@@ -522,8 +666,11 @@ def make_executor(
     serial in-process, anything else the fork pool.  The queue backend
     needs ``queue_dir``; ``queue_workers`` > 0 additionally spawns that
     many local drain threads so a queue run completes without external
-    ``repro worker`` processes.
+    ``repro worker`` processes.  Negative ``jobs`` is rejected for every
+    backend.
     """
+    if jobs < 0:
+        raise CampaignError(f"jobs must be >= 0, got {jobs}")
     if backend == "auto":
         backend = "inline" if jobs == 0 else "fork"
     if backend == "inline":
@@ -531,11 +678,7 @@ def make_executor(
     if backend == "thread":
         return ThreadExecutor(jobs=max(1, jobs))
     if backend == "fork":
-        return ForkExecutor(
-            jobs=max(1, jobs), timeout=timeout, metrics=metrics,
-            respawn_backoff_base=respawn_backoff_base,
-            respawn_backoff_cap=respawn_backoff_cap,
-        )
+        return ForkExecutor(jobs=max(1, jobs), timeout=timeout, metrics=metrics)
     if backend == "queue":
         from repro.service.queue import FileQueueExecutor
 

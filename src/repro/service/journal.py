@@ -29,6 +29,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.durable import atomic_write_json, fsync_dir
+
 #: Journal directory name under the service cache root.
 JOURNAL_DIRNAME = "journal"
 JOURNAL_NAME = "journal.jsonl"
@@ -36,38 +38,6 @@ SNAPSHOT_NAME = "snapshot.json"
 
 #: Journal appends between automatic compactions.
 DEFAULT_COMPACT_EVERY = 256
-
-
-def fsync_dir(path: str) -> None:
-    """fsync a directory so a just-renamed file survives a host crash.
-
-    Without this, ``os.replace`` makes the file visible but the directory
-    entry itself may still live only in the page cache — a power cut can
-    roll back a "committed" rename.  Best-effort: platforms that cannot
-    open directories (Windows) simply skip it.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_json(path: str, payload: Any) -> None:
-    """Write JSON via tmp-file + rename + directory fsync (crash-atomic)."""
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(os.path.dirname(path) or ".")
 
 
 @dataclass

@@ -39,10 +39,9 @@ import traceback
 import warnings
 from typing import Any, Dict, List, Optional, Set
 
+from repro.durable import atomic_write_json
 from repro.errors import ServiceError
-from repro.service.executors import ExecMessage, Executor
-from repro.service.journal import fsync_dir
-from repro.campaign.pool import resolve_function
+from repro.service.executors import ExecMessage, Executor, resolve_function
 
 #: Seconds past the trial timeout before a claim counts as abandoned.
 CLAIM_GRACE = 30.0
@@ -91,23 +90,10 @@ def ensure_queue(
     return queue_dir
 
 
-def _atomic_write(path: str, payload: Dict[str, Any]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    # fsync the directory too: without it a host crash can roll back the
-    # rename and lose a file the caller was told is committed.
-    fsync_dir(os.path.dirname(path) or ".")
-
-
 def enqueue_task(queue_dir: str, task: Dict[str, Any], fn_path: str) -> str:
     """Publish one task; returns its file path."""
     path = os.path.join(queue_dir, "tasks", f"{task['key']}.json")
-    _atomic_write(path, {"task": task, "fn_path": fn_path})
+    atomic_write_json(path, {"task": task, "fn_path": fn_path})
     return path
 
 
@@ -149,7 +135,7 @@ def write_lease(
     be different processes on different machines sharing the queue.
     """
     now = time.time()
-    _atomic_write(
+    atomic_write_json(
         lease_path(queue_dir, key),
         {
             "worker": worker if worker is not None else os.getpid(),
@@ -218,13 +204,13 @@ def write_result(queue_dir: str, key: str, message: Dict[str, Any]) -> bool:
     """
     path = os.path.join(queue_dir, "results", f"{key}.json")
     existed = os.path.exists(path)
-    _atomic_write(path, message)
+    atomic_write_json(path, message)
     return existed
 
 
 def stop_workers(queue_dir: str) -> None:
     """Ask every worker on this queue to exit after its current task."""
-    _atomic_write(os.path.join(queue_dir, "control", "stop"), {"stop": True})
+    atomic_write_json(os.path.join(queue_dir, "control", "stop"), {"stop": True})
 
 
 def clear_stop(queue_dir: str) -> None:

@@ -58,3 +58,14 @@ def test_cli_report_with_jobs_matches_serial(tmp_path, capsys):
     assert main(["report", "--only", "E7"]) == 0
     serial_out = capsys.readouterr().out
     assert parallel_out == serial_out
+
+
+def test_cli_negative_jobs_is_a_config_error(tmp_path, capsys):
+    code = main([
+        "campaign", "E1", "--seeds", "1", "--jobs", "-1",
+        "--cache-dir", str(tmp_path), "--quiet",
+    ])
+    assert code == 2
+    assert "jobs must be >= 0" in capsys.readouterr().err
+    assert main(["report", "--only", "E1", "--jobs", "-1"]) == 2
+    assert "jobs must be >= 0" in capsys.readouterr().err

@@ -1,13 +1,44 @@
-"""Worker-pool robustness: timeout, crash isolation, retry, inline mode."""
+"""Worker-pool robustness through the task supervisor: timeout, crash
+isolation, retry, inline mode and respawn backoff.
 
-import os
+Every test drives :func:`~repro.service.executors.execute_tasks` over the
+executor ``make_executor("auto", jobs=...)`` picks — the fork pool, or
+inline when ``jobs == 0`` — the same path campaigns and the report use.
+"""
 
 import pytest
 
-from repro.campaign.pool import TrialOutcome, resolve_function, run_tasks
 from repro.errors import CampaignError
+from repro.obs.metrics import MetricsRegistry
+from repro.service import executors
+from repro.service.executors import (
+    TrialOutcome,
+    _respawn_backoff,
+    execute_tasks,
+    make_executor,
+    resolve_function,
+)
 
 HELPERS = "tests.campaign.pool_helpers"
+
+
+def run(tasks, fn, jobs=1, timeout=None, metrics=None, **kwargs):
+    """Run ``tasks`` to completion; returns ``key -> TrialOutcome``."""
+    outcomes, cancelled = execute_tasks(
+        tasks,
+        f"{HELPERS}:{fn}",
+        make_executor("auto", jobs=jobs, timeout=timeout, metrics=metrics),
+        **kwargs,
+    )
+    assert not cancelled
+    return outcomes
+
+
+@pytest.fixture
+def short_backoff(monkeypatch):
+    """Shrink the respawn cooldown so crash tests stay fast."""
+    monkeypatch.setattr(executors, "DEFAULT_RESPAWN_BACKOFF_BASE", 0.05)
+    monkeypatch.setattr(executors, "DEFAULT_RESPAWN_BACKOFF_CAP", 0.2)
 
 
 def test_resolve_function_roundtrip():
@@ -23,17 +54,17 @@ def test_resolve_function_bad_paths():
 
 
 def test_empty_task_list():
-    assert run_tasks([], f"{HELPERS}:double_seed", jobs=2) == {}
+    assert run([], "double_seed", jobs=2) == {}
 
 
 def test_duplicate_keys_rejected():
     with pytest.raises(CampaignError):
-        run_tasks([{"key": "a"}, {"key": "a"}], f"{HELPERS}:double_seed")
+        run([{"key": "a"}, {"key": "a"}], "double_seed")
 
 
 def test_parallel_success():
     tasks = [{"key": f"k{i}", "seed": i} for i in range(6)]
-    outcomes = run_tasks(tasks, f"{HELPERS}:double_seed", jobs=3, timeout=30)
+    outcomes = run(tasks, "double_seed", jobs=3, timeout=30)
     assert all(outcomes[f"k{i}"].ok for i in range(6))
     assert all(outcomes[f"k{i}"].payload == {"value": i * 2} for i in range(6))
     assert all(outcomes[f"k{i}"].attempts == 1 for i in range(6))
@@ -46,7 +77,7 @@ def test_timeout_retries_then_quarantines_without_aborting():
         {"key": "fine1", "seed": 1},
         {"key": "fine2", "seed": 2},
     ]
-    outcomes = run_tasks(tasks, f"{HELPERS}:hang_on_flag", jobs=2, timeout=0.6)
+    outcomes = run(tasks, "hang_on_flag", jobs=2, timeout=0.6)
     hung = outcomes["hung"]
     assert hung.status == "timeout"
     assert hung.attempts == 2  # first run + one retry
@@ -59,7 +90,7 @@ def test_worker_crash_is_isolated():
         {"key": "boom", "seed": 0, "crash": True},
         {"key": "fine", "seed": 1},
     ]
-    outcomes = run_tasks(tasks, f"{HELPERS}:exit_on_flag", jobs=2, timeout=30)
+    outcomes = run(tasks, "exit_on_flag", jobs=2, timeout=30)
     assert outcomes["boom"].status == "crashed"
     assert "exitcode" in outcomes["boom"].error
     assert outcomes["fine"].ok
@@ -67,21 +98,14 @@ def test_worker_crash_is_isolated():
 
 def test_transient_failure_recovers_on_retry(tmp_path):
     marker = str(tmp_path / "marker")
-    outcomes = run_tasks(
-        [{"key": "flaky", "marker": marker}],
-        f"{HELPERS}:fail_once",
-        jobs=1,
-        timeout=30,
-    )
+    outcomes = run([{"key": "flaky", "marker": marker}], "fail_once", timeout=30)
     assert outcomes["flaky"].ok
     assert outcomes["flaky"].attempts == 2
     assert outcomes["flaky"].failures == ["error"]
 
 
 def test_exceptions_carry_tracebacks():
-    outcomes = run_tasks(
-        [{"key": "bad"}], f"{HELPERS}:always_raise", jobs=1, timeout=30
-    )
+    outcomes = run([{"key": "bad"}], "always_raise", timeout=30)
     assert outcomes["bad"].status == "error"
     assert "ValueError" in outcomes["bad"].error
 
@@ -89,10 +113,9 @@ def test_exceptions_carry_tracebacks():
 def test_on_final_and_on_retry_callbacks(tmp_path):
     finals, retries = [], []
     marker = str(tmp_path / "m")
-    run_tasks(
+    run(
         [{"key": "flaky", "marker": marker}],
-        f"{HELPERS}:fail_once",
-        jobs=1,
+        "fail_once",
         timeout=30,
         on_final=lambda task, outcome: finals.append((task["key"], outcome.status)),
         on_retry=lambda task, kind: retries.append((task["key"], kind)),
@@ -103,8 +126,8 @@ def test_on_final_and_on_retry_callbacks(tmp_path):
 
 def test_inline_mode_matches_pool_payloads():
     tasks = [{"key": f"k{i}", "seed": i} for i in range(4)]
-    inline = run_tasks(tasks, f"{HELPERS}:double_seed", jobs=0)
-    pooled = run_tasks(tasks, f"{HELPERS}:double_seed", jobs=2, timeout=30)
+    inline = run(tasks, "double_seed", jobs=0)
+    pooled = run(tasks, "double_seed", jobs=2, timeout=30)
     assert {k: v.payload for k, v in inline.items()} == {
         k: v.payload for k, v in pooled.items()
     }
@@ -112,18 +135,19 @@ def test_inline_mode_matches_pool_payloads():
 
 def test_inline_mode_retries_and_reports(tmp_path):
     marker = str(tmp_path / "m")
-    outcomes = run_tasks([{"key": "f", "marker": marker}], f"{HELPERS}:fail_once", jobs=0)
+    outcomes = run([{"key": "f", "marker": marker}], "fail_once", jobs=0)
     assert outcomes["f"].ok and outcomes["f"].attempts == 2
 
-    outcomes = run_tasks([{"key": "b"}], f"{HELPERS}:always_raise", jobs=0)
+    outcomes = run([{"key": "b"}], "always_raise", jobs=0)
     assert outcomes["b"].status == "error" and outcomes["b"].attempts == 2
 
 
 def test_invalid_arguments():
+    for backend in ("auto", "inline", "thread", "fork"):
+        with pytest.raises(CampaignError, match="jobs must be >= 0"):
+            make_executor(backend, jobs=-1)
     with pytest.raises(CampaignError):
-        run_tasks([{"key": "a"}], f"{HELPERS}:double_seed", jobs=-1)
-    with pytest.raises(CampaignError):
-        run_tasks([{"key": "a"}], f"{HELPERS}:double_seed", max_attempts=0)
+        run([{"key": "a"}], "double_seed", max_attempts=0)
 
 
 def test_outcome_ok_property():
@@ -136,8 +160,6 @@ def test_outcome_ok_property():
 # ---------------------------------------------------------------------------
 
 def test_respawn_backoff_is_deterministic_and_capped():
-    from repro.campaign.pool import _respawn_backoff
-
     a = _respawn_backoff("key1", 1, base=0.25, cap=10.0)
     b = _respawn_backoff("key1", 1, base=0.25, cap=10.0)
     assert a == b  # jitter is derived, not drawn
@@ -154,18 +176,13 @@ def test_respawn_backoff_is_deterministic_and_capped():
         assert base_delay <= delay <= min(10.0, base_delay * 1.25)
 
 
-def test_crashes_apply_backoff_counters():
-    from repro.obs.metrics import MetricsRegistry
-
+def test_crashes_apply_backoff_counters(short_backoff):
     metrics = MetricsRegistry()
     tasks = [
         {"key": "boom", "seed": 0, "crash": True},
         {"key": "fine", "seed": 1},
     ]
-    outcomes = run_tasks(
-        tasks, f"{HELPERS}:exit_on_flag", jobs=2, timeout=30,
-        metrics=metrics, respawn_backoff_base=0.05, respawn_backoff_cap=0.2,
-    )
+    outcomes = run(tasks, "exit_on_flag", jobs=2, timeout=30, metrics=metrics)
     assert outcomes["boom"].status == "crashed"
     assert outcomes["fine"].ok
     snapshot = metrics.snapshot()
@@ -177,15 +194,12 @@ def test_crashes_apply_backoff_counters():
     assert hist["max"] <= 0.2
 
 
-def test_cooling_slot_does_not_wedge_the_run():
+def test_cooling_slot_does_not_wedge_the_run(short_backoff):
     """With one worker and a crash, the cooldown delays but never blocks."""
     tasks = [
         {"key": "boom", "seed": 0, "crash": True},
         {"key": "fine", "seed": 1},
     ]
-    outcomes = run_tasks(
-        tasks, f"{HELPERS}:exit_on_flag", jobs=1, timeout=30,
-        respawn_backoff_base=0.05, respawn_backoff_cap=0.1,
-    )
+    outcomes = run(tasks, "exit_on_flag", jobs=1, timeout=30)
     assert outcomes["boom"].status == "crashed"
     assert outcomes["fine"].ok

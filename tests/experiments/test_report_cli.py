@@ -36,6 +36,27 @@ def test_generate_report_subset():
     assert "paper vs measured:" in text
 
 
+def test_generate_report_jobs_match_serial(monkeypatch):
+    serial = generate_report(only=["E7", "E2"])
+    assert generate_report(only=["E7", "E2"], jobs=0) == serial
+    assert generate_report(only=["E7", "E2"], jobs=2) == serial
+
+    # A failing experiment still fails the report when it runs in a worker
+    # (forked workers inherit the patched module).
+    from repro.experiments import report
+
+    real_run = report.run_experiment
+
+    def broken(experiment_id, **kwargs):
+        if experiment_id == "E2":
+            raise RuntimeError("E2 is broken")
+        return real_run(experiment_id, **kwargs)
+
+    monkeypatch.setattr(report, "run_experiment", broken)
+    with pytest.raises(RuntimeError, match="experiment E2 failed"):
+        generate_report(only=["E7", "E2"], jobs=2)
+
+
 def test_generate_report_progress_callback():
     seen = []
     generate_report(only=["E7"], progress=seen.append)

@@ -181,3 +181,24 @@ def test_write_manifest_syncs_directory_after_rename(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as handle:
         assert handle.read() == json.dumps(manifest, sort_keys=True, indent=1) + "\n"
     assert os.listdir(tmp_path) == [MANIFEST_NAME]
+
+    # The store's pin list goes through the same writer: gc must honour a
+    # pin even after a host crash, so it may not ride a bare rename.
+    from repro.campaign.store import PINS_NAME, ResultStore
+
+    store = ResultStore(str(tmp_path / "cache"), "E7-test")
+    replaced.clear()
+    synced.clear()
+    store.pin("k2")
+    store.pin("k1")
+    pins_path = os.path.join(store.directory, PINS_NAME)
+    assert [dst for _, dst in replaced] == [pins_path, pins_path]
+    assert all(
+        tmp == f"{pins_path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        for tmp, _ in replaced
+    )
+    assert synced == [(False, 0), (True, 1), (False, 1), (True, 2)]
+    with open(pins_path, encoding="utf-8") as handle:
+        assert handle.read() == '[\n "k1",\n "k2"\n]\n'
+    assert os.listdir(store.directory) == [PINS_NAME]
+    assert store.pinned_keys() == {"k1", "k2"}
