@@ -13,10 +13,12 @@ values.  Workers never touch the result store — records flow back to the
 supervisor over the pool's queue.
 
 Trials lean on one process-scoped content cache that is invisible to
-simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (generated
-kernel image bytes, a pure function of image seed and size).  On
-fork-based pools the supervisor's warm cache is inherited by every worker
-for free; spawned workers warm their own on the first trial.  Trusted boot
+simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (kernel image
+template files, a pure function of image seed, image size, DRAM size and
+image offset), which every new stack maps copy-on-write instead of copying
+the image in.  On fork-based pools the supervisor's warm cache is
+inherited by every worker for free, open files included; spawned workers
+warm their own on the first trial.  Trusted boot
 always hashes the live image: a digest table is never reused, and the
 scan hash reuses a digest only for a byte-identical input (the per-thread
 memo in :mod:`repro.secure.hashes` compares every byte).

@@ -5,10 +5,16 @@ The TZASC (TrustZone Address Space Controller) is modelled as a per-region
 originates from the secure world; normal regions are accessible from both
 worlds (the secure world has full visibility of normal memory — the property
 all TrustZone introspection builds on).
+
+A region's bytes are backed either by lazily zeroed anonymous memory or,
+for a region that nothing has touched yet, by a private (copy-on-write)
+mapping of a file: a kernel image template is mapped this way, so stacks
+share its pages until one of them writes.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Optional
 
 import numpy as np
@@ -21,7 +27,7 @@ class MemoryRegion:
     """A contiguous physical region with a security attribute."""
 
     __slots__ = ("name", "base", "size", "secure", "_backing", "data",
-                 "read_count", "write_count")
+                 "read_count", "write_count", "viewed")
 
     def __init__(self, name: str, base: int, size: int, secure: bool) -> None:
         if size <= 0:
@@ -40,6 +46,7 @@ class MemoryRegion:
         self.data = memoryview(self._backing)
         self.read_count = 0
         self.write_count = 0
+        self.viewed = False
 
     @property
     def end(self) -> int:
@@ -47,6 +54,32 @@ class MemoryRegion:
 
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base <= addr and addr + length <= self.end
+
+    @property
+    def pristine(self) -> bool:
+        """No access has read, written or viewed the region yet."""
+        return not (self.read_count or self.write_count or self.viewed)
+
+    def map_private(self, fd: int) -> None:
+        """Back the region with a private mapping of the first ``size``
+        bytes of file ``fd``, counted as one write.
+
+        Pages are shared with the file until written, and a write never
+        reaches the file.  Only a pristine region can be remapped: a view
+        taken earlier would keep pointing at the old backing.
+
+        The mapping holds its own duplicate of ``fd`` (so the caller may
+        close ``fd``) until the region's backing is freed: one open
+        descriptor per mapped region, released with the region.
+        """
+        if not self.pristine:
+            raise MemoryAccessError(
+                f"region {self.name!r}: only a pristine region can be mapped"
+            )
+        mapping = mmap.mmap(fd, self.size, access=mmap.ACCESS_COPY)
+        self._backing = np.frombuffer(mapping, dtype=np.uint8)
+        self.data = memoryview(self._backing)
+        self.write_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "secure" if self.secure else "normal"
@@ -84,6 +117,8 @@ class PhysicalMemory:
         return None
 
     def _resolve(self, addr: int, length: int, world: World, write: bool) -> MemoryRegion:
+        if length < 0:
+            raise MemoryAccessError(f"access at {addr:#x}: negative length {length}")
         region = self.region_at(addr)
         if region is None or not region.contains(addr, length):
             raise MemoryAccessError(
@@ -121,8 +156,23 @@ class PhysicalMemory:
         equivalent to :meth:`write` at the same address.
         """
         region = self._resolve(addr, length, world, write=False)
+        region.viewed = True
         offset = addr - region.base
         return memoryview(region.data)[offset : offset + length]
+
+    def copy(self, src: int, dst: int, length: int, world: World) -> None:
+        """Copy ``length`` bytes from ``src`` to ``dst`` on behalf of ``world``.
+
+        One memcpy, counted like :meth:`read` at ``src`` followed by
+        :meth:`write` at ``dst``.
+        """
+        source = self._resolve(src, length, world, write=False)
+        target = self._resolve(dst, length, world, write=True)
+        source.read_count += 1
+        target.write_count += 1
+        s = src - source.base
+        d = dst - target.base
+        target.data[d : d + length] = source.data[s : s + length]
 
     @property
     def regions(self) -> List[MemoryRegion]:

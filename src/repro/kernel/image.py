@@ -10,43 +10,55 @@ detection experiment.
 
 from __future__ import annotations
 
+import os
 import threading
-from typing import Dict, Tuple
+from typing import BinaryIO, Dict, Tuple
 
 import numpy as np
 
 from repro.config import KernelConfig
+from repro.errors import MemoryAccessError
 from repro.hw.memory import PhysicalMemory
 from repro.hw.world import World
 from repro.kernel.systemmap import Section, SystemMap
 
-#: Process-scoped cache of generated image content keyed by what fully
-#: determines it: ``(image_seed, size)``.  The bytes are a pure function of
+#: Process-scoped cache of image *template files* keyed by what fully
+#: determines them: ``(image_seed, size, region_size, offset)``.  A template
+#: is an anonymous in-memory file (``memfd``, so no directory or disk is
+#: involved) as large as the DRAM region, sparse, reading as zeros except for
+#: the image bytes at the image's offset.  The bytes are a pure function of
 #: the key (a private PCG64 stream, no machine RNG involved), so campaign
-#: workers churning through seeds skip the ~12 MB regeneration per trial.
-_CONTENT_CACHE: Dict[Tuple[int, int], bytes] = {}
+#: workers churning through seeds skip the ~12 MB regeneration per trial,
+#: and a pristine DRAM region maps its template copy-on-write instead of
+#: copying the image in.
+_CONTENT_CACHE: Dict[Tuple[int, int, int, int], BinaryIO] = {}
 
 #: Bound the cache so a long-lived worker sweeping image seeds cannot hold
-#: an unbounded number of ~12 MB payloads alive.
+#: an unbounded number of ~12 MB templates alive.  Closing an evicted file
+#: is safe: every mapping of it holds its own descriptor.
 _CONTENT_CACHE_MAX = 4
 
-#: Guards cache mutation under the thread executor backend (concurrent
-#: trials in one process); lookups stay lock-free.
+#: Guards the cache under the thread executor backend (concurrent trials in
+#: one process): a template is built once, and is not closed by an eviction
+#: while another thread maps or reads it.
 _CONTENT_CACHE_LOCK = threading.Lock()
 
 
-def image_content(image_seed: int, size: int) -> bytes:
-    """Deterministic pseudo-random image bytes for ``(image_seed, size)``."""
-    key = (image_seed, size)
-    content = _CONTENT_CACHE.get(key)
-    if content is None:
+def _template(key: Tuple[int, int, int, int]) -> BinaryIO:
+    """The template file for ``key``; the caller holds the cache lock."""
+    template = _CONTENT_CACHE.get(key)
+    if template is None:
+        image_seed, size, region_size, offset = key
+        template = os.fdopen(os.memfd_create("repro-image"), "w+b")
+        template.truncate(region_size)
         rng = np.random.Generator(np.random.PCG64(image_seed))
-        content = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        with _CONTENT_CACHE_LOCK:
-            if len(_CONTENT_CACHE) >= _CONTENT_CACHE_MAX:
-                _CONTENT_CACHE.pop(next(iter(_CONTENT_CACHE)))
-            _CONTENT_CACHE[key] = content
-    return content
+        template.seek(offset)
+        template.write(rng.integers(0, 256, size=size, dtype=np.uint8))
+        template.flush()
+        if len(_CONTENT_CACHE) >= _CONTENT_CACHE_MAX:
+            _CONTENT_CACHE.pop(next(iter(_CONTENT_CACHE))).close()
+        _CONTENT_CACHE[key] = template
+    return template
 
 
 class KernelImage:
@@ -68,11 +80,21 @@ class KernelImage:
         self._populate()
 
     def _populate(self) -> None:
-        """Fill the image with deterministic pseudo-random content."""
-        content = image_content(self.config.image_seed, self.size)
-        # The boot loader owns memory before the OS runs; write as SECURE
-        # (trusted boot stage) so this works regardless of region attributes.
-        self.memory.write(self.base, content, World.SECURE)
+        """Fill the image with deterministic pseudo-random content.
+
+        The DRAM region must be pristine: it maps the cached template
+        copy-on-write, counted as one write.
+        """
+        region = self.memory.region_at(self.base)
+        if region is None or not region.contains(self.base, self.size):
+            raise MemoryAccessError(
+                f"kernel image [{self.base:#x}, {self.base + self.size:#x}) "
+                "is outside the memory map"
+            )
+        offset = self.base - region.base
+        key = (self.config.image_seed, self.size, region.size, offset)
+        with _CONTENT_CACHE_LOCK:
+            region.map_private(_template(key).fileno())
 
     @property
     def write_count(self) -> int:

@@ -36,8 +36,9 @@ class SecureSnapshotBuffer:
         #: Fault hook: ``(chunk_offset, chunk) -> chunk`` applied to each
         #: chunk as it lands in the buffer — models the copy (not live
         #: kernel memory) being corrupted in flight.  The returned bytes
-        #: are both stored and hashed, so a corrupted copy mismatches its
-        #: authorized digest while a direct re-scan still verifies clean.
+        #: (same length as the chunk) are both stored and hashed, so a
+        #: corrupted copy mismatches its authorized digest while a direct
+        #: re-scan still verifies clean.
         self.fault_hook: Optional[Callable[[int, bytes], bytes]] = None
 
     def take_and_hash(
@@ -49,10 +50,11 @@ class SecureSnapshotBuffer:
     ) -> Generator[Any, Any, Tuple[int, memoryview]]:
         """Copy ``length`` bytes into the buffer and djb2-hash the copy.
 
-        A coroutine for secure-world execution: each chunk is read from
+        A coroutine for secure-world execution: each chunk is copied from
         live kernel memory at its position in the scan timeline (so a
-        concurrent attacker race resolves at chunk granularity), then the
-        combined copy+hash cost is charged per Table I's snapshot column.
+        concurrent attacker race resolves at chunk granularity) and hashed
+        where it landed, then the combined copy+hash cost is charged per
+        Table I's snapshot column.
 
         Returns ``(digest, copy)``, where ``copy`` is a read-only view of
         the secure SRAM the snapshot was staged in: it stays valid until
@@ -64,15 +66,23 @@ class SecureSnapshotBuffer:
             )
         self.snapshots_taken += 1
         hasher = Djb2()
+        memory = self.memory
         offset = 0
         while offset < length:
             step = min(chunk_size, length - offset)
-            chunk = self.memory.read(source_addr + offset, step, World.SECURE)
+            target = self.base + offset
+            memory.copy(source_addr + offset, target, step, World.SECURE)
+            staged = memory.view(target, step, World.SECURE)
             if self.fault_hook is not None:
-                chunk = self.fault_hook(offset, chunk)
-            self.memory.write(self.base + offset, chunk, World.SECURE)
-            hasher.update(chunk)
+                chunk = self.fault_hook(offset, bytes(staged))
+                if len(chunk) != step:
+                    raise IntrospectionError(
+                        f"snapshot fault hook returned {len(chunk)} bytes "
+                        f"for a {step}-byte chunk"
+                    )
+                staged[:] = chunk
+            hasher.update(staged)
             yield cpu(step * core.perf.snapshot_byte())
             offset += step
-        staged = self.memory.view(self.base, length, World.SECURE).toreadonly()
+        staged = memory.view(self.base, length, World.SECURE).toreadonly()
         return hasher.digest(), staged

@@ -1,5 +1,8 @@
 """Physical memory and TrustZone partitioning tests."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +88,59 @@ def test_access_counters(memory):
     memory.read(0x1000, 1, World.NORMAL)
     memory.write(0x1000, b"x", World.NORMAL)
     assert region.read_count == 1 and region.write_count == 1
+
+
+def test_negative_length_rejected(memory):
+    with pytest.raises(MemoryAccessError):
+        memory.read(0x1800, -16, World.NORMAL)
+    with pytest.raises(MemoryAccessError):
+        memory.view(0x1800, -16, World.NORMAL)
+    with pytest.raises(MemoryAccessError):
+        memory.copy(0x1800, 0x1900, -16, World.NORMAL)
+
+
+def test_copy_is_world_checked_and_counted(memory):
+    normal = memory.region_named("normal")
+    secure = memory.region_named("secure")
+    memory.write(0x1100, b"kernel", World.NORMAL)
+    with pytest.raises(SecureAccessError):
+        memory.copy(0x1100, 0x8000, 6, World.NORMAL)
+    memory.copy(0x1100, 0x8010, 6, World.SECURE)
+    assert memory.read(0x8010, 6, World.SECURE) == b"kernel"
+    assert (normal.read_count, normal.write_count) == (1, 1)
+    assert (secure.read_count, secure.write_count) == (1, 1)
+
+
+def test_map_private_is_copy_on_write():
+    with tempfile.TemporaryFile() as backing:
+        backing.truncate(0x1000)
+        backing.write(b"image")
+        backing.flush()
+        mem = PhysicalMemory()
+        region = mem.add_region("r", 0x0, 0x1000)
+        assert region.pristine
+        region.map_private(backing.fileno())
+        assert region.write_count == 1 and not region.pristine
+        assert mem.read(0x0, 8, World.NORMAL) == b"image\0\0\0"
+        mem.write(0x0, b"E", World.NORMAL)
+        assert mem.read(0x0, 5, World.NORMAL) == b"Emage"
+        assert os.pread(backing.fileno(), 5, 0) == b"image"
+
+
+@pytest.mark.parametrize("touch", ["read", "write", "view"])
+def test_map_private_refuses_a_touched_region(touch):
+    mem = PhysicalMemory()
+    region = mem.add_region("r", 0x0, 0x1000)
+    if touch == "read":
+        mem.read(0x0, 1, World.NORMAL)
+    elif touch == "write":
+        mem.write(0x0, b"x", World.NORMAL)
+    else:
+        mem.view(0x0, 1, World.NORMAL)
+    with tempfile.TemporaryFile() as backing:
+        backing.truncate(0x1000)
+        with pytest.raises(MemoryAccessError):
+            region.map_private(backing.fileno())
 
 
 @settings(max_examples=40, deadline=None)

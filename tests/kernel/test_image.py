@@ -1,21 +1,39 @@
 """Kernel image tests."""
 
+import gc
+import os
+import struct
+import sys
+import threading
+
 import pytest
 
+from repro.attacks.rootkit import EVIL_SYSCALL_HANDLER
 from repro.config import KernelConfig
 from repro.errors import MemoryAccessError
 from repro.hw.memory import PhysicalMemory
+from repro.hw.platform import build_machine
 from repro.hw.world import World
+from repro.kernel import image as image_module
 from repro.kernel.image import KernelImage
-from tests.conftest import SMALL_KERNEL_SIZE
+from repro.kernel.os import boot_rich_os
+from repro.kernel.syscalls import ENTRY_SIZE, NR_GETTID
+from tests.conftest import SMALL_KERNEL_SIZE, small_config
+
+DRAM_BASE = 0x8000_0000
+DRAM_SIZE = 32 * 1024 * 1024
+
+
+def _build(image_seed: int = KernelConfig.image_seed) -> KernelImage:
+    memory = PhysicalMemory()
+    memory.add_region("dram", DRAM_BASE, DRAM_SIZE)
+    config = KernelConfig(image_size=SMALL_KERNEL_SIZE, image_seed=image_seed)
+    return KernelImage(memory, config)
 
 
 @pytest.fixture
 def image():
-    memory = PhysicalMemory()
-    memory.add_region("dram", 0x8000_0000, 32 * 1024 * 1024)
-    config = KernelConfig(image_size=SMALL_KERNEL_SIZE)
-    return KernelImage(memory, config)
+    return _build()
 
 
 def test_content_is_deterministic(image):
@@ -69,3 +87,81 @@ def test_read_past_dram_raises(image):
 
 def test_size_matches_config(image):
     assert image.size == SMALL_KERNEL_SIZE
+
+
+def test_images_from_one_template_are_copy_on_write():
+    first, second = _build(), _build()
+    assert first.write_count == second.write_count == 1
+    original = first.read(0, SMALL_KERNEL_SIZE, World.SECURE)
+    hijack = (
+        first.system_map.symbol("sys_call_table") + NR_GETTID * ENTRY_SIZE
+    )
+    evil = struct.pack("<Q", EVIL_SYSCALL_HANDLER)
+    assert first.read(hijack, ENTRY_SIZE, World.NORMAL) != evil
+    first.write(hijack, evil, World.NORMAL)
+    assert first.read(hijack, ENTRY_SIZE, World.NORMAL) == evil
+    assert second.read(0, SMALL_KERNEL_SIZE, World.SECURE) == original
+    assert _build().read(0, SMALL_KERNEL_SIZE, World.SECURE) == original
+    offset = first.base - DRAM_BASE
+    key = (KernelConfig.image_seed, SMALL_KERNEL_SIZE, DRAM_SIZE, offset)
+    template = image_module._CONTENT_CACHE[key]
+    assert os.pread(template.fileno(), SMALL_KERNEL_SIZE, offset) == original
+
+
+def test_image_over_a_written_region_raises():
+    memory = PhysicalMemory()
+    region = memory.add_region("dram", DRAM_BASE, DRAM_SIZE)
+    memory.write(region.end - 8, b"occupied", World.NORMAL)
+    with pytest.raises(MemoryAccessError):
+        KernelImage(memory, KernelConfig(image_size=SMALL_KERNEL_SIZE))
+
+
+def test_dropped_stacks_release_their_descriptors():
+    # Each mapped DRAM region holds one descriptor until the collector frees
+    # the stack's reference cycle; none may outlive it.
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    boot_rich_os(build_machine(small_config()))  # warm the template cache
+    gc.collect()
+    before = open_fds()
+    for seed in range(8):
+        boot_rich_os(build_machine(small_config(seed)))
+    gc.collect()
+    assert open_fds() <= before
+
+
+def test_concurrent_builds_share_one_template(monkeypatch):
+    monkeypatch.setattr(image_module, "_CONTENT_CACHE", {})
+    made = []
+    real = image_module.os.memfd_create
+
+    def counting(name, *flags):
+        made.append(real(name, *flags))
+        return made[-1]
+
+    monkeypatch.setattr(image_module.os, "memfd_create", counting)
+    start = threading.Barrier(4)
+    contents = []
+
+    def build():
+        start.wait()
+        contents.append(_build(image_seed=99).read(0, SMALL_KERNEL_SIZE, World.SECURE))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert len(made) == 1
+        assert len(contents) == 4 and len(set(contents)) == 1
+        assert contents[0] != bytes(SMALL_KERNEL_SIZE)
+    finally:
+        for template in image_module._CONTENT_CACHE.values():
+            template.close()

@@ -72,3 +72,38 @@ def test_snapshot_charges_time(stack):
     run_coroutine(machine.sim, proc())
     machine.run(until=machine.now + 1.0)
     assert done[0] - start > 8192 * 5e-9  # at least ~per-byte cost
+
+
+def _snapshot(machine, buffer, source, length, chunk_size=4096):
+    outcome = []
+
+    def proc():
+        outcome.append((yield from buffer.take_and_hash(
+            machine.core(0), source, length, chunk_size
+        )))
+
+    run_coroutine(machine.sim, proc())
+    machine.run(until=machine.now + 1.0)
+    return outcome[0]
+
+
+def test_snapshot_copies_once_per_chunk(stack):
+    machine, rich_os = stack
+    buffer = SecureSnapshotBuffer(machine.memory, SECURE_SRAM_BASE, 1 << 16)
+    source = rich_os.image.read(0, 10_000, World.SECURE)
+    dram, sram = machine.dram, machine.secure_sram
+    reads, writes = dram.read_count, sram.write_count
+    digest, copy = _snapshot(machine, buffer, rich_os.image.addr_of(0), 10_000)
+    assert bytes(copy) == source and digest == djb2(source)
+    # Three chunks: one DRAM read and one SRAM write each, as read + write
+    # counted them.
+    assert dram.read_count - reads == 3
+    assert sram.write_count - writes == 3
+
+
+def test_wrong_length_fault_hook_raises(stack):
+    machine, rich_os = stack
+    buffer = SecureSnapshotBuffer(machine.memory, SECURE_SRAM_BASE, 1 << 16)
+    buffer.fault_hook = lambda offset, chunk: chunk[:-1]
+    with pytest.raises(IntrospectionError):
+        _snapshot(machine, buffer, rich_os.image.addr_of(0), 8192)
