@@ -15,11 +15,14 @@ stream 16 small files instead of one monolith and shard merging is easy to
 exercise in tests.
 
 Only the campaign supervisor writes (workers hand results back over a
-queue), so appends need no cross-process locking; each line is flushed as
-it is written, which makes the cache crash-consistent at line granularity.
-Corrupt trailing lines (a run killed mid-write) are skipped with a warning
-— counted once per file on :attr:`ResultStore.truncated_records` so the
-supervisor can surface cache decay in the manifest's store-health section.
+queue), so appends need no cross-process locking.  All disk I/O follows
+:mod:`repro.durable`: each record is one fsync'd ``append_record`` line
+(a crash-torn tail is ended with a newline first, so it never swallows the
+next record), logs are read back by the torn-tolerant ``read_records``,
+and ``index.json`` and the :meth:`gc` rewrites go through
+``atomic_write_bytes``.  Torn lines are skipped with a warning — counted
+once per file on :attr:`ResultStore.truncated_records` so the supervisor
+can surface cache decay in the manifest's store-health section.
 
 The **index** makes ``--resume`` O(1) per key: ``index.json`` maps every
 live record key to its byte extent inside a shard, so a warm resume seeks
@@ -43,14 +46,22 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.durable import atomic_write_json
+from repro.durable import (
+    Entry,
+    append_record,
+    atomic_write_bytes,
+    atomic_write_json,
+    decode_record,
+    read_records,
+)
 
 #: Shard fan-out: one shard per first hex digit of the key.
 SHARD_COUNT = 16
 
-_QUARANTINE = "quarantine.jsonl"
+#: Name of the per-campaign quarantine log.
+QUARANTINE_NAME = "quarantine.jsonl"
 
 #: Name of the per-campaign key index file.
 INDEX_NAME = "index.json"
@@ -62,18 +73,9 @@ INDEX_SCHEMA = "satin-store-index/v1"
 PINS_NAME = "pins.json"
 
 
-def _parse_record(line: str) -> Optional[Dict[str, Any]]:
-    """One JSONL line -> record dict, or None for a torn/foreign line."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None  # torn write from a killed run
-    if isinstance(record, dict) and "key" in record:
-        return record
-    return None
+def is_shard_name(name: str) -> bool:
+    """True for a shard file's basename (never for a stray tmp file)."""
+    return name.startswith("shard-") and name.endswith(".jsonl")
 
 
 class ResultStore:
@@ -122,53 +124,38 @@ class ResultStore:
             names = sorted(os.listdir(self.directory))
         except FileNotFoundError:
             return []
-        return [
-            os.path.join(self.directory, n)
-            for n in names
-            if n.startswith("shard-") and n.endswith(".jsonl")
-        ]
+        return [os.path.join(self.directory, n) for n in names if is_shard_name(n)]
 
     @property
     def truncated_records(self) -> int:
         """Torn JSONL lines seen across every file, counted once per path."""
         return sum(self._truncated_by_path.values())
 
-    #: Back-compat alias: older callers/tests read ``corrupt_lines_skipped``.
-    @property
-    def corrupt_lines_skipped(self) -> int:
-        return self.truncated_records
+    def _read(
+        self, path: str, where: Callable[[int, int], str], start: int = 0
+    ) -> List[Entry]:
+        """``read_records(path, "key", start)``, counting torn lines per path.
 
-    def _note_truncated(self, path: str, count: int, where: str) -> None:
+        A read from ``start > 0`` continues the path's count; a path warns
+        only past its highest count, naming ``where(offset, line_number)``.
+        """
+        count = self._truncated_by_path.get(path, 0) if start else 0
+
+        def torn(offset: int, number: int) -> None:
+            nonlocal count
+            count += 1
+            if count > self._warned_paths.get(path, 0):
+                self._warned_paths[path] = count
+                warnings.warn(
+                    f"skipping corrupt record at {where(offset, number)} "
+                    "(truncated write from an interrupted run?)",
+                    RuntimeWarning,
+                    stacklevel=5,
+                )
+
+        entries, _ = read_records(path, "key", start, on_torn=torn)
         self._truncated_by_path[path] = count
-        if count > self._warned_paths.get(path, 0):
-            self._warned_paths[path] = count
-            warnings.warn(
-                f"skipping corrupt record at {where} "
-                "(truncated write from an interrupted run?)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def _iter_records(self, path: str) -> Iterator[Dict[str, Any]]:
-        try:
-            # errors="replace": a torn multi-byte sequence at the tail must
-            # not abort the whole shard.
-            handle = open(path, "r", encoding="utf-8", errors="replace")
-        except FileNotFoundError:
-            return
-        truncated = 0
-        with handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                record = _parse_record(line)
-                if record is not None:
-                    yield record
-                else:
-                    truncated += 1
-                    self._note_truncated(path, truncated, f"{path}:{number}")
-        if path in self._truncated_by_path or truncated:
-            self._truncated_by_path[path] = truncated
+        return entries
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -182,28 +169,19 @@ class ResultStore:
     ) -> None:
         """Index records in ``path`` from byte offset ``start`` onward."""
         name = os.path.basename(path)
-        truncated = 0 if start == 0 else self._truncated_by_path.get(path, 0)
         try:
-            handle = open(path, "rb")
+            # Sized before the read: a record appended meanwhile is indexed
+            # now and harmlessly re-indexed by the next tail scan.
+            self._indexed_sizes[name] = os.path.getsize(path)
         except FileNotFoundError:
             return
-        with handle:
-            handle.seek(start)
-            offset = start
-            for raw in handle:
-                length = len(raw)
-                record = _parse_record(raw.decode("utf-8", errors="replace"))
-                if record is not None:
-                    self._entries[record["key"]] = (name, offset, length)
-                    if keep_records:
-                        self._records[record["key"]] = record
-                else:
-                    truncated += 1
-                    self._note_truncated(
-                        path, truncated, f"{path} @ byte {offset}"
-                    )
-                offset += length
-            self._indexed_sizes[name] = offset
+        entries = self._read(
+            path, lambda offset, _number: f"{path} @ byte {offset}", start
+        )
+        for offset, length, record in entries:
+            self._entries[record["key"]] = (name, offset, length)
+            if keep_records:
+                self._records[record["key"]] = record
 
     def _reindex(self) -> None:
         """Rebuild the whole index from the shards on disk."""
@@ -306,11 +284,8 @@ class ResultStore:
             "shards": dict(sorted(self._indexed_sizes.items())),
         }
         path = self.index_path()
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(body, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
+        atomic_write_bytes(path, text.encode("utf-8"))
         return path
 
     def _read_entry(self, key: str) -> Optional[Dict[str, Any]]:
@@ -326,8 +301,8 @@ class ResultStore:
                 raw = handle.read(length)
         except (FileNotFoundError, OSError):
             return None
-        record = _parse_record(raw.decode("utf-8", errors="replace"))
-        if record is None or record.get("key") != key:
+        record = decode_record(raw, "key")
+        if record is None or record["key"] != key:
             return None  # index out of step with the shard
         self.record_reads += 1
         return record
@@ -391,22 +366,14 @@ class ResultStore:
         return sum(1 for key in keys if self.ok_record(key) is not None)
 
     def put(self, record: Dict[str, Any]) -> None:
-        """Append one completed-trial record to its shard (flushed)."""
+        """Append one completed-trial record to its shard (fsync'd)."""
         self.ensure_index()
         key = record["key"]
         path = self.shard_path(key)
         name = os.path.basename(path)
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        try:
-            offset = os.path.getsize(path)
-        except OSError:
-            offset = 0
-        with open(path, "ab") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._entries[key] = (name, offset, len(data))
-        self._indexed_sizes[name] = offset + len(data)
+        offset, length = append_record(path, record)
+        self._entries[key] = (name, offset, length)
+        self._indexed_sizes[name] = offset + length
         self._records[key] = record
 
     def __contains__(self, key: str) -> bool:
@@ -421,7 +388,7 @@ class ResultStore:
     # ------------------------------------------------------------------
 
     def quarantine_path(self) -> str:
-        return os.path.join(self.directory, _QUARANTINE)
+        return os.path.join(self.directory, QUARANTINE_NAME)
 
     def quarantine(self, record: Dict[str, Any]) -> None:
         """Record a trial that failed every attempt.
@@ -430,13 +397,12 @@ class ResultStore:
         ``--resume`` run will retry the trial (the failure may have been
         environmental).
         """
-        with open(self.quarantine_path(), "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_record(self.quarantine_path(), record)
 
     def quarantined(self) -> List[Dict[str, Any]]:
-        return list(self._iter_records(self.quarantine_path()))
+        path = self.quarantine_path()
+        entries = self._read(path, lambda _offset, number: f"{path}:{number}")
+        return [record for _offset, _length, record in entries]
 
     # ------------------------------------------------------------------
     # Pins and garbage collection
@@ -488,64 +454,49 @@ class ResultStore:
             "bytes_after": 0,
         }
 
-        ok_keys: Set[str] = set()
-        for path in self.shard_paths():
-            report["bytes_before"] += os.path.getsize(path)
-            lines: List[bytes] = []
-            keys: List[Optional[str]] = []
+        def read(path: str) -> Tuple[bytes, List[Entry]]:
+            entries, torn = read_records(path, "key")
             with open(path, "rb") as handle:
-                for raw in handle:
-                    record = _parse_record(raw.decode("utf-8", errors="replace"))
-                    if record is None:
-                        report["truncated_dropped"] += 1
-                        continue
-                    lines.append(raw)
-                    keys.append(record["key"])
-                    ok_keys.add(record["key"])
-            last_for_key = {key: i for i, key in enumerate(keys)}
-            keep: List[bytes] = []
-            for i, (raw, key) in enumerate(zip(lines, keys)):
-                if key in pinned or last_for_key[key] == i:
-                    keep.append(raw)
-                else:
-                    report["superseded_dropped"] += 1
-            report["records_kept"] += len(keep)
-            new_blob = b"".join(keep)
+                blob = handle.read()
+            report["bytes_before"] += len(blob)
+            report["truncated_dropped"] += torn
+            return blob, entries
+
+        def rewrite(path: str, blob: bytes, keep: List[Entry]) -> None:
+            new_blob = b"".join(blob[start:start + size] for start, size, _ in keep)
             report["bytes_after"] += len(new_blob)
             if not dry_run:
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as handle:
-                    handle.write(new_blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
+                atomic_write_bytes(path, new_blob)
+
+        ok_keys: Set[str] = set()
+        for path in self.shard_paths():
+            blob, entries = read(path)
+            last_for_key = {
+                record["key"]: index for index, (_, _, record) in enumerate(entries)
+            }
+            ok_keys.update(last_for_key)
+            keep = [
+                entry
+                for index, entry in enumerate(entries)
+                if entry[2]["key"] in pinned or last_for_key[entry[2]["key"]] == index
+            ]
+            report["records_kept"] += len(keep)
+            report["superseded_dropped"] += len(entries) - len(keep)
+            rewrite(path, blob, keep)
+            if not dry_run:
                 report["shards_compacted"] += 1
 
         qpath = self.quarantine_path()
         if os.path.isfile(qpath):
-            report["bytes_before"] += os.path.getsize(qpath)
-            keep_q: List[bytes] = []
-            with open(qpath, "rb") as handle:
-                for raw in handle:
-                    record = _parse_record(raw.decode("utf-8", errors="replace"))
-                    if record is None:
-                        report["truncated_dropped"] += 1
-                        continue
-                    key = record["key"]
-                    if key in ok_keys and key not in pinned:
-                        report["quarantine_resolved"] += 1
-                        continue
-                    keep_q.append(raw)
-            report["quarantine_kept"] = len(keep_q)
-            blob = b"".join(keep_q)
-            report["bytes_after"] += len(blob)
-            if not dry_run:
-                tmp = qpath + ".tmp"
-                with open(tmp, "wb") as handle:
-                    handle.write(blob)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, qpath)
+            blob, entries = read(qpath)
+            keep = [
+                entry
+                for entry in entries
+                if entry[2]["key"] not in ok_keys or entry[2]["key"] in pinned
+            ]
+            report["quarantine_kept"] = len(keep)
+            report["quarantine_resolved"] = len(entries) - len(keep)
+            rewrite(qpath, blob, keep)
 
         if not dry_run:
             # Offsets moved: rebuild the derived index from the new truth.
@@ -612,28 +563,25 @@ def job_artifact_dir(root: str, job_id: str, create: bool = True) -> str:
     return path
 
 
+def is_campaign_dir(path: str) -> bool:
+    """True if the directory ``path`` holds shards, a quarantine log or a manifest."""
+    children = os.listdir(path)
+    return (
+        any(is_shard_name(child) for child in children)
+        or QUARANTINE_NAME in children
+        or "manifest.json" in children
+    )
+
+
 def campaign_dirs(root: str) -> List[str]:
     """Campaign directories under a cache root, in name order.
 
-    A campaign directory is any direct child that holds shard files, a
-    quarantine file, or a manifest — the ``jobs/`` artifact prefix is
-    excluded.
+    A campaign directory is any direct child :func:`is_campaign_dir`
+    accepts — the ``jobs/`` artifact prefix is excluded.
     """
     try:
         names = sorted(os.listdir(root))
     except FileNotFoundError:
         return []
-    found = []
-    for name in names:
-        if name == JOBS_PREFIX:
-            continue
-        path = os.path.join(root, name)
-        if not os.path.isdir(path):
-            continue
-        children = os.listdir(path)
-        if any(
-            child.startswith("shard-") and child.endswith(".jsonl")
-            for child in children
-        ) or _QUARANTINE in children or "manifest.json" in children:
-            found.append(path)
-    return found
+    paths = [os.path.join(root, name) for name in names if name != JOBS_PREFIX]
+    return [path for path in paths if os.path.isdir(path) and is_campaign_dir(path)]

@@ -386,12 +386,12 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    from repro.obs.dashboard.follow import _write_atomic
+    from repro.durable import atomic_write_bytes
 
-    _write_atomic(args.out, render_dashboard_html(data))
+    atomic_write_bytes(args.out, render_dashboard_html(data).encode("utf-8"))
     print(f"dashboard written to {args.out}", file=sys.stderr)
     if args.json:
-        _write_atomic(args.json, dashboard_json(data))
+        atomic_write_bytes(args.json, dashboard_json(data).encode("utf-8"))
         print(f"dashboard data written to {args.json}", file=sys.stderr)
     return 0
 
@@ -399,7 +399,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from repro.campaign.store import ResultStore, campaign_dirs
+    from repro.campaign.store import ResultStore, campaign_dirs, is_campaign_dir
 
     def open_store(path: str) -> ResultStore:
         root, campaign_id = os.path.split(os.path.abspath(path.rstrip(os.sep)))
@@ -423,13 +423,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.path):
         print(f"no such directory {args.path!r}", file=sys.stderr)
         return 2
-    children = os.listdir(args.path)
-    is_store = (
-        any(n.startswith("shard-") and n.endswith(".jsonl") for n in children)
-        or "quarantine.jsonl" in children
-        or "manifest.json" in children
-    )
-    targets = [args.path] if is_store else campaign_dirs(args.path)
+    targets = [args.path] if is_campaign_dir(args.path) else campaign_dirs(args.path)
     if not targets:
         print(f"no campaign stores under {args.path!r}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ supervisor appends and fsyncs record by record — and renders a partial
 dashboard with a progress section.  Every read path here is tolerant of
 concurrent writes: a manifest caught mid-write (truncated JSON), a shard
 with a torn trailing line, or a directory that does not exist yet all
-degrade to "less data", never to an exception.
+degrade to "less data", never to an exception: shards are read with the
+store's own :func:`repro.durable.read_records`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import os
 import time
 from typing import Any, Callable, Dict, IO, Optional, Tuple
 
-from repro.campaign.store import _QUARANTINE, _parse_record
+from repro.campaign.store import QUARANTINE_NAME, is_shard_name
 from repro.obs.dashboard.data import (
     dashboard_data_from_manifest,
     dashboard_json,
 )
+from repro.durable import atomic_write_bytes, read_records
 from repro.obs.dashboard.html import render_dashboard_html
 from repro.obs.manifest import MANIFEST_NAME
 
@@ -69,24 +71,19 @@ def store_progress(campaign_dir: str) -> Dict[str, Any]:
         return {"available": False}
     for name in names:
         path = os.path.join(campaign_dir, name)
-        is_shard = name.startswith("shard-") and name.endswith(".jsonl")
-        if not is_shard and name != _QUARANTINE:
+        is_shard = is_shard_name(name)
+        if not is_shard and name != QUARANTINE_NAME:
             continue
         try:
-            handle = open(path, "r", encoding="utf-8", errors="replace")
+            entries, torn = read_records(path, "key")
         except OSError:
             continue
-        with handle:
-            for line in handle:
-                record = _parse_record(line)
-                if record is None:
-                    if line.strip():
-                        truncated += 1
-                    continue
-                if is_shard:
-                    records[record["key"]] = str(record.get("status", "ok"))
-                else:
-                    quarantined += 1
+        truncated += torn
+        if not is_shard:
+            quarantined += len(entries)
+            continue
+        for _offset, _length, record in entries:
+            records[record["key"]] = str(record.get("status", "ok"))
     statuses: Dict[str, int] = {}
     for status in records.values():
         statuses[status] = statuses.get(status, 0) + 1
@@ -124,13 +121,6 @@ def snapshot_once(
     return data, state
 
 
-def _write_atomic(path: str, body: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(body)
-    os.replace(tmp, path)
-
-
 def follow_campaign(
     campaign_dir: str,
     out_html: str,
@@ -152,9 +142,9 @@ def follow_campaign(
     while True:
         rounds += 1
         data, state = snapshot_once(campaign_dir, trace=trace, top=top)
-        _write_atomic(out_html, render_dashboard_html(data))
+        atomic_write_bytes(out_html, render_dashboard_html(data).encode("utf-8"))
         if out_json:
-            _write_atomic(out_json, dashboard_json(data))
+            atomic_write_bytes(out_json, dashboard_json(data).encode("utf-8"))
         if stream is not None:
             progress = data.get("progress", {})
             detail = (

@@ -11,12 +11,14 @@ campaign ``resume`` path, which re-serves completed trials from the store
 and therefore converges to byte-identical manifests.
 
 Growth is bounded by *compaction*: periodically the full job table is
-written to ``snapshot.json`` (tmp-file + rename + directory fsync, so a
-crash never leaves a torn snapshot) and the journal is truncated.  Replay
-is tolerant the same way the result store is:
+written to ``snapshot.json`` and the journal is emptied, each by an
+atomic rewrite.  The journal is a :mod:`repro.durable` record log, like
+the result store's shards, so replay is tolerant the same way:
 
 * a torn/truncated journal line — the signature of a crash mid-append —
   is skipped with a warning and counted (``journal.truncated_records``);
+  the next append ends it with a newline first, so it never swallows a
+  later record;
 * a corrupt snapshot falls back to replaying the full journal.
 """
 
@@ -29,7 +31,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.durable import atomic_write_json, fsync_dir
+from repro.durable import (
+    append_record,
+    atomic_write_bytes,
+    atomic_write_json,
+    read_records,
+)
 
 #: Journal directory name under the service cache root.
 JOURNAL_DIRNAME = "journal"
@@ -62,9 +69,8 @@ class JobJournal:
     """Append-only JSONL write-ahead log + snapshot for job states.
 
     Thread-safe: appends and compactions serialize on an internal lock.
-    The append handle is kept open across calls; every append is flushed
-    and fsync'd before returning, so a record the caller saw committed
-    survives SIGKILL.
+    Every append is fsync'd before returning, so a record the caller saw
+    committed survives SIGKILL.
     """
 
     def __init__(self, root: str, registry: Optional[Any] = None) -> None:
@@ -74,7 +80,6 @@ class JobJournal:
         self.snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
         self.registry = registry
         self._lock = threading.Lock()
-        self._handle = None
         #: appends since the last compaction (drives auto-compaction).
         self.records_since_compact = 0
         self.truncated_records = 0
@@ -90,13 +95,8 @@ class JobJournal:
 
     def append(self, job_json: Dict[str, Any]) -> None:
         """Durably record one job state (called on every transition)."""
-        line = json.dumps({"v": 1, "job": job_json}, sort_keys=True)
         with self._lock:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            append_record(self.path, {"v": 1, "job": job_json})
             self.records_since_compact += 1
         self._count("journal.records")
 
@@ -110,13 +110,7 @@ class JobJournal:
         """
         with self._lock:
             atomic_write_json(self.snapshot_path, {"v": 1, "jobs": jobs})
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            fsync_dir(self.directory)
+            atomic_write_bytes(self.path, b"")
             self.records_since_compact = 0
             self.compactions += 1
         self._count("journal.compactions")
@@ -131,10 +125,7 @@ class JobJournal:
         return True
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        """Nothing to release: every append opens, fsyncs and closes."""
 
     # ------------------------------------------------------------------
     # Replay side
@@ -178,35 +169,24 @@ class JobJournal:
         for job_json in self._load_snapshot(result):
             apply(job_json)
 
-        try:
-            # errors="replace": a torn multi-byte sequence at the tail
-            # must not abort the whole replay.
-            handle = open(self.path, "r", encoding="utf-8", errors="replace")
-        except FileNotFoundError:
-            handle = None
-        if handle is not None:
-            with handle:
-                for number, line in enumerate(handle, start=1):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = json.loads(stripped)
-                        job_json = record["job"]
-                        if not isinstance(job_json, dict):
-                            raise ValueError("journal job is not an object")
-                    except (ValueError, KeyError, TypeError):
-                        result.truncated_records += 1
-                        warnings.warn(
-                            f"skipping torn journal record at "
-                            f"{self.path}:{number} "
-                            "(truncated write from an interrupted serve?)",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        continue
-                    apply(job_json)
-                    result.replayed_records += 1
+        def torn(_offset: int, number: int) -> None:
+            result.truncated_records += 1
+            warnings.warn(
+                f"skipping torn journal record at {self.path}:{number} "
+                "(truncated write from an interrupted serve?)",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+
+        entries, _ = read_records(self.path, "job", on_torn=torn)
+        for offset, _length, record in entries:
+            job_json = record["job"]
+            if isinstance(job_json, dict):
+                apply(job_json)
+                result.replayed_records += 1
+            else:  # a JSON object, but not one this journal wrote
+                with open(self.path, "rb") as handle:
+                    torn(offset, handle.read(offset).count(b"\n") + 1)
 
         self.truncated_records += result.truncated_records
         self._count("journal.truncated_records", result.truncated_records)

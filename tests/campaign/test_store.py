@@ -86,7 +86,7 @@ def test_corrupt_lines_are_counted_and_warned(tmp_path):
     reopened = make_store(tmp_path)
     with pytest.warns(RuntimeWarning, match="corrupt record"):
         assert reopened.load() == 2
-    assert reopened.corrupt_lines_skipped == 2
+    assert reopened.truncated_records == 2
     # A clean reload resets the count.
     for path in reopened.shard_paths():
         lines = []
@@ -101,7 +101,7 @@ def test_corrupt_lines_are_counted_and_warned(tmp_path):
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
     assert reopened.load() == 2
-    assert reopened.corrupt_lines_skipped == 0
+    assert reopened.truncated_records == 0
 
 
 def test_corrupt_quarantine_lines_are_tolerated(tmp_path):
@@ -127,4 +127,42 @@ def test_undecodable_bytes_do_not_abort_the_shard(tmp_path):
     reopened = make_store(tmp_path)
     with pytest.warns(RuntimeWarning, match="corrupt record"):
         assert reopened.load() == 1
-    assert reopened.corrupt_lines_skipped == 1
+    assert reopened.truncated_records == 1
+
+
+def test_put_after_a_torn_tail_is_not_swallowed(tmp_path):
+    import pytest
+
+    store = make_store(tmp_path)
+    store.put({"key": "a1", "status": "ok", "payload": {"v": 1}})
+    with open(store.shard_path("a1"), "a", encoding="utf-8") as handle:
+        handle.write('{"key": "a2", "status": "o')  # crash mid-append
+    late = {"key": "a3", "status": "ok", "payload": {"v": 3}}
+    with pytest.warns(RuntimeWarning, match="corrupt record"):
+        make_store(tmp_path).put(late)
+
+    assert make_store(tmp_path).get("a3") == late
+    reopened = make_store(tmp_path)
+    with pytest.warns(RuntimeWarning, match="corrupt record"):
+        assert reopened.load() == 2
+    assert reopened.get("a3") == late
+    assert reopened.truncated_records == 1
+    report = reopened.gc()
+    assert report["truncated_dropped"] == 1 and report["records_kept"] == 2
+    compacted = make_store(tmp_path)
+    assert compacted.load() == 2 and compacted.get("a3") == late
+
+
+def test_quarantine_after_a_torn_tail_is_not_swallowed(tmp_path):
+    import pytest
+
+    store = make_store(tmp_path)
+    store.quarantine({"key": "bad1", "status": "timeout", "seed": 9})
+    with open(store.quarantine_path(), "a", encoding="utf-8") as handle:
+        handle.write('{"key": "bad2", "stat')  # crash mid-append
+    make_store(tmp_path).quarantine({"key": "bad3", "status": "timeout", "seed": 3})
+
+    reopened = make_store(tmp_path)
+    with pytest.warns(RuntimeWarning, match="corrupt record"):
+        assert [q["key"] for q in reopened.quarantined()] == ["bad1", "bad3"]
+    assert reopened.truncated_records == 1

@@ -85,6 +85,21 @@ class TestTornTail:
         assert replay.truncated_records == 1
 
 
+    def test_append_after_torn_tail_is_not_swallowed(self, tmp_path):
+        journal = JobJournal(str(tmp_path))
+        journal.append(job_json("job-0001-aa", "done"))
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"v": 1, "job": {"job_id": "job-0002-')  # crash
+        JobJournal(str(tmp_path)).append(job_json("job-0003-cc", "pending"))
+
+        with pytest.warns(RuntimeWarning, match="torn journal record"):
+            replay = JobJournal(str(tmp_path)).replay()
+        assert [j["job_id"] for j in replay.jobs] == [
+            "job-0001-aa", "job-0003-cc",
+        ]
+        assert replay.truncated_records == 1
+
+
 class TestCompaction:
     def test_compact_truncates_journal_into_snapshot(self, tmp_path):
         journal = JobJournal(str(tmp_path))
