@@ -14,7 +14,6 @@ no preparation trace for introspection to find.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Generator, List, Optional, Sequence
 
 from repro.attacks.oracle import ProberAccelerationOracle
@@ -89,7 +88,7 @@ class KProberII:
     # ------------------------------------------------------------------
     def _make_body(self, core_index: int, compares: bool):
         rng = self.machine.rng.stream(f"kprober2.jitter.{core_index}")
-        draw_jitter = partial(self.config.wake_jitter.sample, rng)
+        draw_jitter = self.config.wake_jitter.sampler(rng)
 
         def body(task: Task) -> Generator[Any, Any, None]:
             cfg = self.config

@@ -16,7 +16,6 @@ in :class:`~repro.config.ProberConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ProberConfig
@@ -61,7 +60,7 @@ class ProbeBuffer:
         #: the clock every read and write stamps against.
         self._sim = machine.sim
         self._rng = machine.rng.stream("prober.visibility")
-        self._draw_delay = partial(config.cross_core_delay.sample, self._rng)
+        self._draw_delay = config.cross_core_delay.sampler(self._rng)
         #: per-core list of (write_time, value), newest last.
         self._slots: Dict[int, List[Tuple[float, float]]] = {}
 

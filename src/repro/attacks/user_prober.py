@@ -11,7 +11,6 @@ fast enough to defeat whole-kernel introspection (experiment E8).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Generator, List, Optional, Sequence
 
 from repro.attacks.oracle import ProberAccelerationOracle
@@ -93,7 +92,7 @@ class UserLevelProber:
     # ------------------------------------------------------------------
     def _make_body(self, core_index: int, compares: bool):
         rng = self.machine.rng.stream(f"uprober.jitter.{core_index}")
-        draw_jitter = partial(self.config.wake_jitter.sample, rng)
+        draw_jitter = self.config.wake_jitter.sampler(rng)
 
         def body(task: Task) -> Generator[Any, Any, None]:
             cfg = self.config

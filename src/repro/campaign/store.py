@@ -545,12 +545,12 @@ class ResultStore:
 #
 # Trial records are shared across every job that maps to the same campaign
 # grid (that is the whole point of content addressing), but each service
-# job also owns artifacts that must NOT be shared — its JobState snapshot
-# and the manifest it rendered.  Those live under a job-scoped prefix
-# beside the campaign directories:
+# job also owns an artifact that must NOT be shared — its rendered result.
+# It lives under a job-scoped prefix beside the campaign directories (the
+# job's state lives in the service journal, its manifest in the campaign
+# directory):
 #
-#     <root>/jobs/<job_id>/job.json
-#     <root>/jobs/<job_id>/manifest.json
+#     <root>/jobs/<job_id>/result.txt
 
 JOBS_PREFIX = "jobs"
 

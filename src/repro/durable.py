@@ -40,14 +40,31 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def tmp_path_for(path: str) -> str:
+    """The tmp file this thread writes ``path`` through: ``<path>.tmp.<pid>.<thread>``.
+
+    Pid- and thread-unique, so concurrent writers of one path never share
+    a tmp file.
+    """
+    return f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+
+
+def is_tmp_for(name: str, path: str) -> bool:
+    """True if ``name`` is a tmp file of ``path`` from any writer.
+
+    A writer killed before its rename leaves one behind; ``name`` and
+    ``path`` must be alike (both basenames or both full paths).
+    """
+    return name.startswith(f"{path}.tmp.")
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Replace ``path`` with ``data``: tmp file, fsync, rename, directory fsync.
 
-    The tmp name is pid- and thread-unique so concurrent writers of one
-    path never share a tmp file; a crash before the rename leaves the old
-    file intact.
+    The tmp file is :func:`tmp_path_for`; a crash before the rename leaves
+    the old file intact.
     """
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    tmp = tmp_path_for(path)
     with open(tmp, "wb") as handle:
         handle.write(data)
         handle.flush()

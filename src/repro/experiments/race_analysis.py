@@ -45,14 +45,17 @@ def run_race_analysis(seed: int = 2019, mc_trials: int = 20_000) -> ExperimentRe
     machine_cfg = juno_r1_config(seed)
     a57 = machine_cfg.clusters[-1].timing
     rng = RngRegistry(seed).stream("race.mc")
+    world_switch = a57.world_switch.sampler(rng)
+    hash_byte = a57.hash_byte.sampler(rng)
+    recover_trace_8b = a57.recover_trace_8b.sampler(rng)
     escapes = 0
     for _ in range(mc_trials):
         trial = RaceParameters(
-            ts_switch=a57.world_switch.sample(rng),
-            ts_1byte=a57.hash_byte.sample(rng),
+            ts_switch=world_switch(),
+            ts_1byte=hash_byte(),
             tns_sched=rng.uniform(0.0, machine_cfg.prober.tsleep),
             tns_threshold=machine_cfg.prober.detect_threshold,
-            tns_recover=a57.recover_trace_8b.sample(rng),
+            tns_recover=recover_trace_8b(),
             kernel_size=params.kernel_size,
         )
         position = rng.uniform(0, params.kernel_size)

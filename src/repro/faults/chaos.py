@@ -182,13 +182,15 @@ class ChaosResult:
 def run_chaos_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     """One seeded scenario run with fault injection; returns the record.
 
-    Builds the scenario's stack under a scoped metrics registry, hardens
+    Builds the scenario's stack under a scoped metrics registry and a
+    trial scope (its memory is freed when the record is built), hardens
     SATIN, installs the injector, digests the event timeline through the
     simulator fire hook, runs the plan's horizon plus a drain window (so
     every consumed fault's watchdog check and alarm can land), and
     classifies the injections into the survival matrix.
     """
     from repro.experiments.common import build_stack
+    from repro.hw.platform import trial_scope
     from repro.obs.metrics import use_registry
     from repro.obs.scenarios import scenario_by_name
 
@@ -201,7 +203,7 @@ def run_chaos_trial(task: Dict[str, Any]) -> Dict[str, Any]:
             "engine whose degradation is under test"
         )
 
-    with use_registry() as registry:
+    with use_registry() as registry, trial_scope():
         config = preset_config(task["preset"], seed=int(task["seed"]))
         if plan.needs_snapshot and not config.satin.use_snapshot:
             config.satin = replace(config.satin, use_snapshot=True)

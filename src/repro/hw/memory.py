@@ -10,6 +10,13 @@ A region's bytes are backed either by lazily zeroed anonymous memory or,
 for a region that nothing has touched yet, by a private (copy-on-write)
 mapping of a file: a kernel image template is mapped this way, so stacks
 share its pages until one of them writes.
+
+:meth:`PhysicalMemory.release` drops every region's backing (and with a
+mapped region its duplicated file descriptor) the moment it is called,
+without waiting for the cyclic collector: a finished machine is a cycle
+of cores, timers and callbacks, and a campaign trial releases its
+machines' memory when it ends.  A released memory raises
+:class:`~repro.errors.MemoryAccessError` on every access.
 """
 
 from __future__ import annotations
@@ -91,6 +98,7 @@ class PhysicalMemory:
 
     def __init__(self) -> None:
         self._regions: List[MemoryRegion] = []
+        self.released = False
 
     def add_region(self, name: str, base: int, size: int, secure: bool = False) -> MemoryRegion:
         """Register a new region; overlapping an existing region is an error."""
@@ -103,6 +111,18 @@ class PhysicalMemory:
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
         return region
+
+    def release(self) -> None:
+        """Drop every region's backing; a second call is a no-op.
+
+        A backing is freed as soon as no view taken from it is alive.
+        Afterwards the address map is empty, so every read, write, view
+        and copy raises :class:`MemoryAccessError`.
+        """
+        for region in self._regions:
+            region._backing = region.data = None
+        self._regions = []
+        self.released = True
 
     def region_named(self, name: str) -> MemoryRegion:
         for region in self._regions:
@@ -121,6 +141,10 @@ class PhysicalMemory:
             raise MemoryAccessError(f"access at {addr:#x}: negative length {length}")
         region = self.region_at(addr)
         if region is None or not region.contains(addr, length):
+            if self.released:
+                raise MemoryAccessError(
+                    f"access at {addr:#x}: the memory was released"
+                )
             raise MemoryAccessError(
                 f"access [{addr:#x}, {addr + length:#x}) is outside the memory map"
             )

@@ -4,14 +4,12 @@ Each core owns a :class:`CorePerf` that turns the cluster's
 :class:`~repro.config.ClusterTiming` distributions into concrete samples
 drawn from core-specific deterministic RNG streams.
 
-The samplers are bound once at construction as
-``partial(dist.sample, rng)``: one frame fewer per draw than a method
-that looks the distribution and stream up each time.
+The samplers are bound once at construction as ``dist.sampler(rng)``
+(:meth:`~repro.sim.distributions.Distribution.sampler`): a zero-argument
+draw with the distribution's parameters and the stream already bound.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from repro.config import ClusterTiming
 from repro.sim.rng import RngRegistry
@@ -37,21 +35,21 @@ class CorePerf:
         self.timing = timing
         self._rng = rng.stream(f"core{core_index}.perf")
         #: Secure-world cost to directly hash one byte (Table I).
-        self.hash_byte = partial(timing.hash_byte.sample, self._rng)
+        self.hash_byte = timing.hash_byte.sampler(self._rng)
         #: Secure-world cost to snapshot-then-hash one byte (Table I).
-        self.snapshot_byte = partial(timing.snapshot_byte.sample, self._rng)
+        self.snapshot_byte = timing.snapshot_byte.sampler(self._rng)
         #: One-direction EL3 world switch (Section IV-B1).
-        self.world_switch = partial(timing.world_switch.sample, self._rng)
+        self.world_switch = timing.world_switch.sampler(self._rng)
         #: Rootkit restoring one 8-byte attack trace (Section IV-B2).
-        self.recover_trace_8b = partial(timing.recover_trace_8b.sample, self._rng)
+        self.recover_trace_8b = timing.recover_trace_8b.sampler(self._rng)
         #: Rich-OS system call round trip.
-        self.syscall = partial(timing.syscall.sample, self._rng)
+        self.syscall = timing.syscall.sampler(self._rng)
         #: Rich-OS scheduler dispatch latency.
-        self.dispatch = partial(timing.dispatch.sample, self._rng)
+        self.dispatch = timing.dispatch.sampler(self._rng)
         #: Timer-tick handler cost.
-        self.tick = partial(timing.tick.sample, self._rng)
+        self.tick = timing.tick.sampler(self._rng)
         #: Cache-refill penalty paid by a task resumed after preemption.
-        self.preemption_penalty = partial(timing.preemption_penalty.sample, self._rng)
+        self.preemption_penalty = timing.preemption_penalty.sampler(self._rng)
 
     @property
     def cluster_name(self) -> str:

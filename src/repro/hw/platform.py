@@ -4,11 +4,18 @@
 their secure timers, the GIC, and the EL3 monitor into one handle that the
 rich OS, the secure world software, and the attack components all plug
 into.  ``build_machine(juno_r1_config())`` reproduces the paper's platform.
+
+A finished machine is a reference cycle (cores, timers and callbacks all
+point back at it), so its memory would wait for the cyclic collector.
+:func:`trial_scope` closes every machine built on the calling thread
+inside it when the block exits, which frees that memory at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional
 
 from repro.config import MachineConfig, juno_r1_config
 from repro.errors import ConfigurationError
@@ -31,6 +38,34 @@ DRAM_BASE = 0x8000_0000
 SECURE_SRAM_BASE = 0x0400_0000
 
 
+class _Scopes(threading.local):
+    """Each thread's open trial scopes, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: List[List["Machine"]] = []
+
+
+_SCOPES = _Scopes()
+
+
+@contextmanager
+def trial_scope() -> Iterator[List["Machine"]]:
+    """Close every :class:`Machine` this thread builds inside the block.
+
+    The machines are closed on exit, also when the block raises, so
+    nothing built in the block may be used afterwards.  Machines built
+    outside any scope, or on another thread, are left alone.
+    """
+    machines: List[Machine] = []
+    _SCOPES.stack.append(machines)
+    try:
+        yield machines
+    finally:
+        _SCOPES.stack.pop()
+        for machine in machines:
+            machine.close()
+
+
 class Machine:
     """The simulated multi-core TrustZone board."""
 
@@ -51,6 +86,8 @@ class Machine:
         self.secure_sram = self.memory.add_region(
             "secure_sram", SECURE_SRAM_BASE, config.secure_memory_size, secure=True
         )
+        if _SCOPES.stack:
+            _SCOPES.stack[-1].append(self)
 
         # --- timers, interrupts, cores -------------------------------------
         self.counter = SystemCounter(self.sim, config.counter_frequency_hz)
@@ -172,6 +209,14 @@ class Machine:
 
     def run_for(self, duration: float) -> None:
         self.sim.run_for(duration)
+
+    def close(self) -> None:
+        """Release the machine's memory now; a second call is a no-op.
+
+        Any later memory access raises
+        :class:`~repro.errors.MemoryAccessError`.
+        """
+        self.memory.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Machine cores={len(self.cores)} t={self.sim.now:.6f}>"

@@ -20,7 +20,7 @@ Design rules, chosen so campaign shards aggregate exactly:
   order given; campaign code always passes task order, never completion
   order, so float sums accumulate identically regardless of parallelism.
 
-A process-local registry stack (:func:`use_registry`) lets harnesses
+A thread-local registry stack (:func:`use_registry`) lets harnesses
 scope a registry around a trial: ``Machine`` adopts the active registry
 when one is installed, so experiment internals need no plumbing changes.
 """
@@ -28,6 +28,7 @@ when one is installed, so experiment internals need no plumbing changes.
 from __future__ import annotations
 
 import bisect
+import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -325,19 +326,31 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Process-local registry scoping
+# Thread-local registry scoping
 # ---------------------------------------------------------------------------
 
-_ACTIVE: List[MetricsRegistry] = []
+
+class _Active(threading.local):
+    """Each thread's installed registries, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: List[MetricsRegistry] = []
+
+
+_ACTIVE = _Active()
 
 
 def active_registry() -> Optional[MetricsRegistry]:
-    """The innermost registry installed via :func:`use_registry`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The calling thread's innermost :func:`use_registry` registry, if any."""
+    stack = _ACTIVE.stack
+    return stack[-1] if stack else None
 
 
 class use_registry:
-    """Context manager scoping ``registry`` as the process-local default.
+    """Context manager scoping ``registry`` as the calling thread's default.
+
+    The scope is per thread, so trials running concurrently on a thread
+    executor each meter into their own registry.
 
     ``Machine`` (and anything else that calls :func:`active_registry` at
     construction time) adopts it, so a harness can meter a whole trial —
@@ -349,8 +362,8 @@ class use_registry:
         self.registry = registry if registry is not None else MetricsRegistry()
 
     def __enter__(self) -> MetricsRegistry:
-        _ACTIVE.append(self.registry)
+        _ACTIVE.stack.append(self.registry)
         return self.registry
 
     def __exit__(self, *_exc: Any) -> None:
-        _ACTIVE.pop()
+        _ACTIVE.stack.pop()

@@ -39,7 +39,7 @@ import traceback
 import warnings
 from typing import Any, Dict, List, Optional, Set
 
-from repro.durable import atomic_write_json
+from repro.durable import atomic_write_json, is_tmp_for
 from repro.errors import ServiceError
 from repro.service.executors import ExecMessage, Executor, resolve_function
 
@@ -164,7 +164,7 @@ def clear_lease(queue_dir: str, key: str) -> None:
     except FileNotFoundError:
         return
     for name in names:
-        if name == lease or name.startswith(f"{lease}.tmp."):
+        if name == lease or is_tmp_for(name, lease):
             try:
                 os.remove(os.path.join(claimed_dir, name))
             except FileNotFoundError:

@@ -54,6 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.runner import DEFAULT_CACHE_DIR
 from repro.campaign.store import job_artifact_dir
+from repro.durable import atomic_write_bytes
 from repro.errors import (
     BackpressureError,
     JobTransitionError,
@@ -453,20 +454,14 @@ class JobManager:
     # ------------------------------------------------------------------
 
     def _persist(self, job: JobState) -> None:
-        """Commit a job transition: journal first, then the job artifact."""
-        state = job.to_json()
-        self._journal.append(state)
-        directory = job_artifact_dir(self.cache_dir, job.job_id)
-        path = os.path.join(directory, "job.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True, indent=1)
-            handle.write("\n")
+        """Commit a job transition to the journal (recovery replays it)."""
+        self._journal.append(job.to_json())
         self._journal.maybe_compact(self._job_table(), every=self.compact_every)
 
     def _write_artifact(self, job: JobState, name: str, text: str) -> None:
+        """Write a served artifact whole: a reader never sees a torn file."""
         directory = job_artifact_dir(self.cache_dir, job.job_id)
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-            handle.write(text)
+        atomic_write_bytes(os.path.join(directory, name), text.encode("utf-8"))
 
     def read_artifact(self, job_id: str, name: str) -> Optional[str]:
         directory = job_artifact_dir(self.cache_dir, job_id, create=False)

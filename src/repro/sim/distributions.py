@@ -11,13 +11,21 @@ The paper's measurements are noisy in characteristic ways:
 Each distribution exposes ``sample`` and, where possible, ``cdf`` so the
 order-statistics fast path (:mod:`repro.analysis.orderstats`) can sample the
 maximum of *n* draws without materialising them.
+
+Hot draw sites bind ``dist.sampler(rng)`` once and call the zero-argument
+result per draw.  The distributions drawn hundreds of thousands of times
+per trial build it as a closure over their parameters and ``rng.random``
+(``_bind``), so a draw is one Python frame with no attribute lookups;
+``sample`` draws through the same closure, so there is one copy of each
+sampling rule and the two paths are draw-for-draw identical.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 
@@ -30,10 +38,31 @@ _exp = math.exp
 
 
 class Distribution:
-    """Protocol-ish base class; subclasses implement :meth:`sample`."""
+    """Protocol-ish base class; subclasses implement :meth:`sample`.
+
+    A subclass may also define ``_bind(rng)``, returning the zero-argument
+    closure its ``sample`` draws through; :meth:`sampler` then hands that
+    closure out directly, unless ``sample`` has since been overridden or
+    wrapped (say, by a profiler), which is then honoured instead.
+    """
+
+    #: The ``sample`` that the class's ``_bind`` closure reproduces.
+    _bound_sample: Optional[Callable[..., float]] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_bind" in vars(cls):
+            cls._bound_sample = cls.sample
 
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
+
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A zero-argument callable; each call returns ``self.sample(rng)``."""
+        cls = type(self)
+        if cls.sample is cls._bound_sample:
+            return self._bind(rng)
+        return partial(self.sample, rng)
 
     def cdf(self, x: float) -> float:
         """P(X <= x).  Optional; required by the order-statistics fast path."""
@@ -81,9 +110,16 @@ class Uniform(Distribution):
         self.hi = float(hi)
 
     def sample(self, rng: random.Random) -> float:
-        # Same arithmetic as rng.uniform(lo, hi), one call frame fewer on
-        # the cross-core-read hot path.
-        return self.lo + (self.hi - self.lo) * rng.random()
+        return self._bind(rng)()
+
+    def _bind(self, rng: random.Random) -> Callable[[], float]:
+        # Same arithmetic as rng.uniform(lo, hi), one call frame fewer.
+        lo, width, uniform = self.lo, self.hi - self.lo, rng.random
+
+        def draw() -> float:
+            return lo + width * uniform()
+
+        return draw
 
     def cdf(self, x: float) -> float:
         if x <= self.lo:
@@ -133,27 +169,35 @@ class LogNormalJitter(Distribution):
         self.hi_clip = hi_clip
 
     def sample(self, rng: random.Random) -> float:
-        if self.sigma == 0.0:
-            value = self._mean
-        else:
-            # Inlined rng.lognormvariate(self.mu, self.sigma): the per-byte
-            # cost path draws this hundreds of thousands of times per trial,
-            # and the extra call frames dominate the actual math.  The
-            # rejection loop below consumes the same uniforms and performs
-            # the same arithmetic, so sampled values are bit-identical.
-            uniform = rng.random
-            while True:
-                u1 = uniform()
-                u2 = 1.0 - uniform()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            value = _exp(self.mu + z * self.sigma)
-        if self.lo_clip is not None and value < self.lo_clip:
-            value = self.lo_clip
-        if self.hi_clip is not None and value > self.hi_clip:
-            value = self.hi_clip
-        return value
+        return self._bind(rng)()
+
+    def _bind(self, rng: random.Random) -> Callable[[], float]:
+        mean, sigma, mu = self._mean, self.sigma, self.mu
+        lo_clip, hi_clip, uniform = self.lo_clip, self.hi_clip, rng.random
+
+        def draw() -> float:
+            if sigma == 0.0:
+                value = mean
+            else:
+                # Inlined rng.lognormvariate(mu, sigma): the per-byte cost
+                # path draws this hundreds of thousands of times per trial,
+                # and the extra call frames dominate the actual math.  The
+                # rejection loop below consumes the same uniforms and
+                # performs the same arithmetic, so values are bit-identical.
+                while True:
+                    u1 = uniform()
+                    u2 = 1.0 - uniform()
+                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -_log(u2):
+                        break
+                value = _exp(mu + z * sigma)
+            if lo_clip is not None and value < lo_clip:
+                value = lo_clip
+            if hi_clip is not None and value > hi_clip:
+                value = hi_clip
+            return value
+
+        return draw
 
     def cdf(self, x: float) -> float:
         if x <= 0:
@@ -251,9 +295,18 @@ class SpikeMixture(Distribution):
         self.spike_prob = float(spike_prob)
 
     def sample(self, rng: random.Random) -> float:
-        if rng.random() < self.spike_prob:
-            return self.spike.sample(rng)
-        return self.base.sample(rng)
+        return self._bind(rng)()
+
+    def _bind(self, rng: random.Random) -> Callable[[], float]:
+        spike_prob, uniform = self.spike_prob, rng.random
+        base, spike = self.base.sampler(rng), self.spike.sampler(rng)
+
+        def draw() -> float:
+            if uniform() < spike_prob:
+                return spike()
+            return base()
+
+        return draw
 
     def cdf(self, x: float) -> float:
         p = self.spike_prob

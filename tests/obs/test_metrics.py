@@ -8,6 +8,7 @@ extrema exactly, sums to float tolerance.
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -183,7 +184,7 @@ def test_snapshot_is_json_safe():
 
 
 # ---------------------------------------------------------------------------
-# Process-local scoping
+# Thread-local scoping
 # ---------------------------------------------------------------------------
 
 
@@ -206,6 +207,36 @@ def test_machine_adopts_active_registry():
         machine = build_machine(juno_r1_config(seed=1))
     assert machine.metrics is registry
     assert machine.sim.metrics is registry
+
+
+def test_interleaved_threads_each_see_their_own_registry():
+    """Thread A enters, B enters, A checks and exits, B checks and exits."""
+    a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def trial_a():
+        with use_registry() as mine:
+            a_entered.set()
+            b_entered.wait(5)
+            seen["a"] = active_registry() is mine
+        a_exited.set()
+
+    def trial_b():
+        a_entered.wait(5)
+        with use_registry() as mine:
+            b_entered.set()
+            a_exited.wait(5)
+            # A's exit must not have popped B's registry
+            seen["b"] = active_registry() is mine
+        seen["b_after"] = active_registry() is None
+
+    threads = [threading.Thread(target=trial_a), threading.Thread(target=trial_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert seen == {"a": True, "b": True, "b_after": True}
+    assert active_registry() is None
 
 
 # ---------------------------------------------------------------------------

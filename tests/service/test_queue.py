@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.durable import tmp_path_for
 from repro.obs.metrics import MetricsRegistry
 from repro.service.executors import execute_tasks
 from repro.service.queue import (
@@ -16,6 +17,7 @@ from repro.service.queue import (
     clear_stop,
     enqueue_task,
     ensure_queue,
+    lease_path,
     read_lease,
     run_worker,
     stop_workers,
@@ -243,7 +245,7 @@ class TestLeases:
         executor.submit(task_for(1))
         claimed = claim_next(queue_dir)
         claimed_dir = os.path.dirname(claimed)
-        torn = os.path.join(claimed_dir, "t1.lease.json.tmp.4242.7")
+        torn = tmp_path_for(lease_path(queue_dir, "t1"))
         with open(torn, "w", encoding="utf-8") as handle:
             handle.write('{"worker": 42')
         stale = time.time() - 10.0

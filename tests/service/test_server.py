@@ -8,9 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro import durable
 from repro.errors import BackpressureError, JobTransitionError, ServiceError
 from repro.service import client
-from repro.service.jobs import JobState
 from repro.service.server import JobManager, make_server
 
 SPEC = {"kind": "campaign", "target": "E7", "seeds": 2, "jobs": 0,
@@ -50,18 +50,36 @@ class TestJobManager:
         finally:
             manager.shutdown()
 
-    def test_job_state_persisted_as_artifact(self, tmp_path):
+    def test_finished_job_leaves_result_and_no_job_json(self, tmp_path):
         manager = JobManager(cache_dir=str(tmp_path), max_workers=1)
         try:
             job, _ = manager.submit(SPEC)
             deadline = time.monotonic() + 60
             while not job.terminal and time.monotonic() < deadline:
                 time.sleep(0.05)
-            path = tmp_path / "jobs" / job.job_id / "job.json"
-            assert path.is_file()
-            persisted = JobState.from_json(json.loads(path.read_text()))
-            assert persisted.state == "done"
-            assert persisted.digest == job.digest
+            assert job.state == "done"
+            directory = tmp_path / "jobs" / job.job_id
+            # job state lives in the journal only; the result is served whole
+            assert sorted(p.name for p in directory.iterdir()) == ["result.txt"]
+            assert manager.read_artifact(job.job_id, "result.txt").endswith("\n")
+        finally:
+            manager.shutdown()
+
+    def test_failed_artifact_rename_leaves_no_torn_result(self, tmp_path, monkeypatch):
+        manager = JobManager(cache_dir=str(tmp_path), max_workers=1)
+        manager._stopping.set()  # no job runs: the artifact write alone is tested
+        try:
+            job, _ = manager.submit(SPEC)
+            manager._write_artifact(job, "result.txt", "old table\n")
+
+            def dies(src, dst):
+                raise OSError("host died before the rename")
+
+            monkeypatch.setattr(durable.os, "replace", dies)
+            with pytest.raises(OSError):
+                manager._write_artifact(job, "result.txt", "new table\n")
+            monkeypatch.undo()
+            assert manager.read_artifact(job.job_id, "result.txt") == "old table\n"
         finally:
             manager.shutdown()
 

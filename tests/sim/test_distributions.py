@@ -1,6 +1,7 @@
 """Timing-noise distribution tests."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,3 +143,70 @@ def test_numeric_inverse_cdf_roundtrip(u):
     d = SpikeMixture(Uniform(0.0, 1.0), BoundedPareto(2.0, 2.5, 50.0), 0.2)
     x = inverse_cdf(d, u)
     assert abs(d.cdf(x) - u) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Bound samplers: the hot-path draw callables
+# ---------------------------------------------------------------------------
+
+SAMPLED = [
+    Constant(3.0),
+    Uniform(2.38e-6, 3.60e-6),
+    LogNormalJitter(2.5e-6, 0.15),
+    LogNormalJitter(1.07e-8, 0.035, lo_clip=9.23e-9, hi_clip=1.15e-8),
+    LogNormalJitter(4.0, 0.0),
+    BoundedPareto(xm=8e-5, alpha=2.4, cap=1.32e-3),
+    SpikeMixture(LogNormalJitter(2.2e-5, 0.45), BoundedPareto(8e-5, 2.4, 1.32e-3), 0.05),
+    Shifted(Uniform(0.0, 1.0), 10.0),
+]
+
+
+@pytest.mark.parametrize("dist", SAMPLED, ids=lambda d: type(d).__name__)
+def test_sampler_draws_exactly_what_sample_draws(dist):
+    draw = dist.sampler(random.Random(7))
+    reference = random.Random(7)
+    assert [draw() for _ in range(3000)] == [dist.sample(reference) for _ in range(3000)]
+
+
+def test_hot_distributions_hand_out_their_closure():
+    for dist in (Uniform(0.0, 1.0), LogNormalJitter(1.0, 0.1), SAMPLED[6]):
+        assert not isinstance(dist.sampler(random.Random(1)), partial)
+    assert isinstance(Constant(1.0).sampler(random.Random(1)), partial)
+
+
+def test_samplers_match_the_stdlib_draw_for_draw():
+    mu_sigma = LogNormalJitter(2.5e-6, 0.15)
+    draw = mu_sigma.sampler(random.Random(11))
+    reference = random.Random(11)
+    assert [draw() for _ in range(3000)] == [
+        reference.lognormvariate(mu_sigma.mu, mu_sigma.sigma) for _ in range(3000)
+    ]
+    draw = Uniform(2.0, 5.0).sampler(random.Random(12))
+    reference = random.Random(12)
+    assert [draw() for _ in range(100)] == [reference.uniform(2.0, 5.0) for _ in range(100)]
+
+
+def test_sampler_honours_an_overridden_or_wrapped_sample(monkeypatch):
+    class Doubled(LogNormalJitter):
+        def sample(self, rng):
+            return 2.0 * super().sample(rng)
+
+    plain = LogNormalJitter(1.0, 0.2)
+    doubled = Doubled(1.0, 0.2)
+    assert doubled.sampler(random.Random(3))() == 2.0 * plain.sampler(random.Random(3))()
+
+    calls = []
+    original = LogNormalJitter.sample
+
+    def wrapped(self, rng):  # a profiler wrapping ``sample`` on the class
+        calls.append(self)
+        return original(self, rng)
+
+    monkeypatch.setattr(LogNormalJitter, "sample", wrapped)
+    direct = plain.sampler(random.Random(3))
+    nested = SpikeMixture(plain, Constant(9.0), 0.0).sampler(random.Random(3))
+    value = direct()
+    nested()
+    monkeypatch.undo()
+    assert value == plain.sampler(random.Random(3))()
+    assert calls == [plain, plain]
