@@ -25,73 +25,75 @@ Quickstart::
     print(result)
 """
 
-from repro.attacks import (
-    KProberI,
-    KProberII,
-    PersistentRootkit,
-    ProbeController,
-    ProberAccelerationOracle,
-    TZEvader,
-    UserLevelProber,
-)
-from repro.attacks.predictor import PredictiveEvader
-from repro.config import (
-    MachineConfig,
-    ProberConfig,
-    SatinConfig,
-    generic_octa_config,
-    juno_r1_config,
-    smm_like_config,
-)
-from repro.core import (
-    RaceParameters,
-    Satin,
-    install_satin,
-    max_safe_area_size,
-    s_bound,
-    unprotected_fraction,
-)
-from repro.errors import (
-    AttackError,
-    BackpressureError,
-    CampaignError,
-    ConfigurationError,
-    FaultError,
-    FaultInjectionError,
-    FaultPlanError,
-    HardwareError,
-    IntrospectionError,
-    JobTransitionError,
-    KernelError,
-    MemoryAccessError,
-    ObservabilityError,
-    ReproError,
-    SchedulingError,
-    SecureAccessError,
-    ServiceError,
-    SimulationError,
-)
-from repro.experiments import (
-    build_stack,
-    run_ablations,
-    run_detection_experiment,
-    run_escape_comparison,
-    run_figure4,
-    run_figure7,
-    run_prober_comparison,
-    run_race_analysis,
-    run_recover_delay,
-    run_single_core_ratio,
-    run_switch_delay,
-    run_table1,
-    run_table2,
-    run_user_prober_eval,
-)
-from repro.campaign import CampaignResult, CampaignSpec, run_campaign
-from repro.hw import Machine, World, build_machine
-from repro.kernel import RichOS, boot_rich_os
-from repro.secure import SynchronousIntrospection, pkm_like, random_whole_kernel
-from repro.attacks import IrqStormAttacker, KnoxBypassAttack
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "KProberI": "repro.attacks.kprober1",
+    "KProberII": "repro.attacks.kprober2",
+    "PersistentRootkit": "repro.attacks.rootkit",
+    "ProbeController": "repro.attacks.prober",
+    "ProberAccelerationOracle": "repro.attacks.oracle",
+    "TZEvader": "repro.attacks.evader",
+    "UserLevelProber": "repro.attacks.user_prober",
+    "PredictiveEvader": "repro.attacks.predictor",
+    "MachineConfig": "repro.config",
+    "ProberConfig": "repro.config",
+    "SatinConfig": "repro.config",
+    "generic_octa_config": "repro.config",
+    "juno_r1_config": "repro.config",
+    "smm_like_config": "repro.config",
+    "RaceParameters": "repro.core.race",
+    "Satin": "repro.core.satin",
+    "install_satin": "repro.core.satin",
+    "max_safe_area_size": "repro.core.race",
+    "s_bound": "repro.core.race",
+    "unprotected_fraction": "repro.core.race",
+    "AttackError": "repro.errors",
+    "BackpressureError": "repro.errors",
+    "CampaignError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "FaultError": "repro.errors",
+    "FaultInjectionError": "repro.errors",
+    "FaultPlanError": "repro.errors",
+    "HardwareError": "repro.errors",
+    "IntrospectionError": "repro.errors",
+    "JobTransitionError": "repro.errors",
+    "KernelError": "repro.errors",
+    "MemoryAccessError": "repro.errors",
+    "ObservabilityError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SchedulingError": "repro.errors",
+    "SecureAccessError": "repro.errors",
+    "ServiceError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "build_stack": "repro.experiments.common",
+    "run_ablations": "repro.experiments.ablations",
+    "run_detection_experiment": "repro.experiments.detection",
+    "run_escape_comparison": "repro.experiments.race_analysis",
+    "run_figure4": "repro.experiments.figure4",
+    "run_figure7": "repro.experiments.figure7",
+    "run_prober_comparison": "repro.experiments.prober_comparison",
+    "run_race_analysis": "repro.experiments.race_analysis",
+    "run_recover_delay": "repro.experiments.recover_delay",
+    "run_single_core_ratio": "repro.experiments.table2",
+    "run_switch_delay": "repro.experiments.switch_delay",
+    "run_table1": "repro.experiments.table1",
+    "run_table2": "repro.experiments.table2",
+    "run_user_prober_eval": "repro.experiments.user_prober_eval",
+    "CampaignResult": "repro.campaign.runner",
+    "CampaignSpec": "repro.campaign.runner",
+    "run_campaign": "repro.campaign.runner",
+    "Machine": "repro.hw.platform",
+    "World": "repro.hw.world",
+    "build_machine": "repro.hw.platform",
+    "RichOS": "repro.kernel.os",
+    "boot_rich_os": "repro.kernel.os",
+    "SynchronousIntrospection": "repro.secure.sync_introspection",
+    "pkm_like": "repro.secure.baseline",
+    "random_whole_kernel": "repro.secure.baseline",
+    "IrqStormAttacker": "repro.attacks.irq_storm",
+    "KnoxBypassAttack": "repro.attacks.knoxout",
+})
 
 __version__ = "1.0.0"
 

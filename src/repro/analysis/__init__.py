@@ -1,26 +1,27 @@
 """Statistics, table rendering, and order-statistics helpers."""
 
-from repro.analysis.orderstats import (
-    expected_max_quantile,
-    sample_max_of_n,
-    sample_maxima,
-)
-from repro.analysis.stats import (
-    BoxplotStats,
-    Summary,
-    boxplot_stats,
-    geometric_mean,
-    percentile,
-    ratios_within,
-    relative_error,
-)
-from repro.analysis.tables import pct, render_comparison, render_table, sci
-from repro.analysis.timeline import (
-    TimelineEvent,
-    build_timeline,
-    render_timeline,
-    round_timeline,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "expected_max_quantile": "repro.analysis.orderstats",
+    "sample_max_of_n": "repro.analysis.orderstats",
+    "sample_maxima": "repro.analysis.orderstats",
+    "BoxplotStats": "repro.analysis.stats",
+    "Summary": "repro.analysis.stats",
+    "boxplot_stats": "repro.analysis.stats",
+    "geometric_mean": "repro.analysis.stats",
+    "percentile": "repro.analysis.stats",
+    "ratios_within": "repro.analysis.stats",
+    "relative_error": "repro.analysis.stats",
+    "pct": "repro.analysis.tables",
+    "render_comparison": "repro.analysis.tables",
+    "render_table": "repro.analysis.tables",
+    "sci": "repro.analysis.tables",
+    "TimelineEvent": "repro.analysis.timeline",
+    "build_timeline": "repro.analysis.timeline",
+    "render_timeline": "repro.analysis.timeline",
+    "round_timeline": "repro.analysis.timeline",
+})
 
 __all__ = [
     "BoxplotStats",

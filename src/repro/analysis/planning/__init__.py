@@ -17,14 +17,16 @@ seeds only where the closed form is uncertain:
   simulations only to break ties.
 """
 
-from repro.analysis.planning.solver import (
-    Interval,
-    RaceModel,
-    detection_latency_bounds,
-    escape_probability_bounds,
-    escape_probability_estimate,
-    solve_preset,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "Interval": "repro.analysis.planning.solver",
+    "RaceModel": "repro.analysis.planning.solver",
+    "detection_latency_bounds": "repro.analysis.planning.solver",
+    "escape_probability_bounds": "repro.analysis.planning.solver",
+    "escape_probability_estimate": "repro.analysis.planning.solver",
+    "solve_preset": "repro.analysis.planning.solver",
+})
 
 __all__ = [
     "Interval",

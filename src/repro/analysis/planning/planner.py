@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.analysis.planning.solver import DECISION_THRESHOLD, solve_preset
 from repro.analysis.stats import mean_ci
-from repro.campaign.trials import build_trial_config
+from repro.config import build_trial_config
 from repro.errors import CampaignError
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import merge_snapshots

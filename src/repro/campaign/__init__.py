@@ -14,23 +14,23 @@ Entry points::
     result = run_campaign(CampaignSpec("E9", seeds=range(64), jobs=4))
 """
 
-from repro.campaign.digest import (
-    CODE_VERSION,
-    canonical_form,
-    stable_digest,
-    trial_key,
-)
-from repro.campaign.progress import ProgressMeter
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignSpec,
-    SweepRun,
-    aggregate_records,
-    run_campaign,
-    run_sweep,
-)
-from repro.campaign.store import ResultStore
-from repro.service.executors import TrialOutcome
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "CODE_VERSION": "repro.campaign.digest",
+    "canonical_form": "repro.campaign.digest",
+    "stable_digest": "repro.campaign.digest",
+    "trial_key": "repro.campaign.digest",
+    "ProgressMeter": "repro.campaign.progress",
+    "CampaignResult": "repro.campaign.runner",
+    "CampaignSpec": "repro.campaign.runner",
+    "SweepRun": "repro.campaign.runner",
+    "aggregate_records": "repro.campaign.runner",
+    "run_campaign": "repro.campaign.runner",
+    "run_sweep": "repro.campaign.runner",
+    "ResultStore": "repro.campaign.store",
+    "TrialOutcome": "repro.service.executors",
+})
 
 __all__ = [
     "CODE_VERSION",

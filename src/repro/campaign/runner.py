@@ -28,8 +28,8 @@ from repro.analysis.stats import Summary, mean_ci
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest, trial_key
 from repro.campaign.progress import ProgressMeter
-from repro.campaign.store import ResultStore
-from repro.campaign.trials import DEFAULT_PRESET, build_trial_config
+from repro.campaign.store import DEFAULT_CACHE_DIR, ResultStore
+from repro.config import DEFAULT_PRESET, build_trial_config
 from repro.errors import CampaignError
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import MetricsRegistry
@@ -42,9 +42,6 @@ Observer = Callable[[str, Dict[str, Any]], None]
 
 #: Import path of the worker-side trial function.
 TRIAL_FN = "repro.campaign.trials:run_experiment_trial"
-
-#: Default cache root, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 @dataclass
 class CampaignSpec:

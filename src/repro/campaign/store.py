@@ -57,6 +57,9 @@ from repro.durable import (
     read_records,
 )
 
+#: Default cache root, relative to the working directory.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
 #: Shard fan-out: one shard per first hex digit of the key.
 SHARD_COUNT = 16
 

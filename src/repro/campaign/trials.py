@@ -12,6 +12,13 @@ its paper-vs-measured comparison rows, and the scalar subset of its raw
 values.  Workers never touch the result store — records flow back to the
 supervisor over the pool's queue.
 
+The module imports, at its top, everything a trial runs.  Executors
+resolve it in the supervisor before they start workers, so a fork pool's
+parent holds the whole trial path and its workers import nothing on their
+first trial.  The light helpers the supervisor needs without running
+trials (:data:`~repro.config.DEFAULT_PRESET`,
+:func:`~repro.config.build_trial_config`) live in :mod:`repro.config`.
+
 Trials lean on one process-scoped content cache that is invisible to
 simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (kernel image
 template files, a pure function of image seed, image size, DRAM size and
@@ -36,15 +43,17 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-from repro.config import MachineConfig, SatinConfig, preset_config
+from repro.config import DEFAULT_PRESET, build_trial_config
 from repro.errors import CampaignError
+from repro.experiments import report
+from repro.experiments.common import build_stack
+from repro.experiments.detection import run_detection_experiment
+from repro.hw.platform import trial_scope
+from repro.obs.metrics import use_registry
 
 #: Experiments whose drivers accept a prebuilt stack, i.e. the ones a
 #: campaign may run on non-default presets / SATIN variants.
 STACK_AWARE_EXPERIMENTS = ("E9",)
-
-#: The preset every experiment driver builds internally.
-DEFAULT_PRESET = "juno_r1"
 
 
 def jsonable_scalar(value: Any) -> bool:
@@ -72,18 +81,6 @@ def sanitize_comparisons(comparisons) -> list:
     return out
 
 
-def build_trial_config(
-    seed: int,
-    preset: str = DEFAULT_PRESET,
-    satin: Optional[Dict[str, Any]] = None,
-) -> MachineConfig:
-    """The MachineConfig one trial runs under (also what gets digested)."""
-    config = preset_config(preset, seed=seed)
-    if satin:
-        config.satin = SatinConfig(**satin)
-    return config
-
-
 def run_experiment_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one experiment trial and distil a serialisable record.
 
@@ -98,10 +95,6 @@ def run_experiment_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     payload is built first, then every machine the trial built is closed,
     also when the trial raises.
     """
-    from repro.experiments.report import run_experiment, spec_by_id
-    from repro.hw.platform import trial_scope
-    from repro.obs.metrics import use_registry
-
     experiment_id = task["experiment_id"]
     seed = task["seed"]
     full = bool(task.get("full", False))
@@ -110,7 +103,7 @@ def run_experiment_trial(task: Dict[str, Any]) -> Dict[str, Any]:
 
     with use_registry() as registry, trial_scope():
         if preset == DEFAULT_PRESET and not satin:
-            result = run_experiment(experiment_id, seed=seed, full=full)
+            result = report.run_experiment(experiment_id, seed=seed, full=full)
         else:
             # Variant trials need a driver that accepts a prebuilt stack;
             # everything else hard-codes its own juno_r1 build.
@@ -119,10 +112,8 @@ def run_experiment_trial(task: Dict[str, Any]) -> Dict[str, Any]:
                     f"experiment {experiment_id} cannot run config variants "
                     f"(stack-aware: {', '.join(STACK_AWARE_EXPERIMENTS)})"
                 )
-            from repro.experiments.common import build_stack
-            from repro.experiments.detection import run_detection_experiment
 
-            spec = spec_by_id(experiment_id)
+            spec = report.spec_by_id(experiment_id)
             config = build_trial_config(seed, preset=preset, satin=satin)
             stack = build_stack(
                 machine_config=config, with_satin=True, with_evader=True

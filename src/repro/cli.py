@@ -47,14 +47,10 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.experiments.report import (
-    EXPERIMENT_SPECS,
-    generate_report,
-    run_experiment,
-)
-
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments.report import EXPERIMENT_SPECS
+
     width = max(len(spec.experiment_id) for spec in EXPERIMENT_SPECS)
     for spec in EXPERIMENT_SPECS:
         print(f"{spec.experiment_id.ljust(width)}  {spec.title}")
@@ -62,6 +58,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.report import run_experiment
+
     try:
         result = run_experiment(args.id, seed=args.seed, full=args.full)
     except KeyError as error:
@@ -237,6 +235,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.errors import CampaignError
+    from repro.experiments.report import generate_report
 
     jobs = args.jobs
     if jobs is None and args.full:

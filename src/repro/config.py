@@ -11,7 +11,7 @@ bytes across 19 System.map sections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.distributions import (
@@ -427,3 +427,19 @@ def preset_config(name: str, seed: int = 2019) -> MachineConfig:
         known = ", ".join(sorted(PRESET_CONFIGS))
         raise ConfigurationError(f"unknown preset {name!r} (known: {known})") from None
     return factory(seed=seed)
+
+
+#: The preset every experiment driver builds internally.
+DEFAULT_PRESET = "juno_r1"
+
+
+def build_trial_config(
+    seed: int,
+    preset: str = DEFAULT_PRESET,
+    satin: Optional[Dict[str, Any]] = None,
+) -> MachineConfig:
+    """The MachineConfig one campaign trial runs under (also what gets digested)."""
+    config = preset_config(preset, seed=seed)
+    if satin:
+        config.satin = SatinConfig(**satin)
+    return config

@@ -12,15 +12,21 @@ The subsystem has three layers:
   ``python -m repro chaos`` and its survival/detection matrix.
 """
 
-from repro.faults.chaos import ChaosResult, ChaosSpec, run_chaos, run_chaos_trial
-from repro.faults.injector import FaultInjector, Injection
-from repro.faults.plan import (
-    FAULT_CLASSES,
-    FaultPlan,
-    FaultSpec,
-    plan_by_name,
-    plan_names,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "ChaosResult": "repro.faults.chaos",
+    "ChaosSpec": "repro.faults.chaos",
+    "run_chaos": "repro.faults.chaos",
+    "run_chaos_trial": "repro.faults.chaos",
+    "FaultInjector": "repro.faults.injector",
+    "Injection": "repro.faults.injector",
+    "FAULT_CLASSES": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "FaultSpec": "repro.faults.plan",
+    "plan_by_name": "repro.faults.plan",
+    "plan_names": "repro.faults.plan",
+})
 
 __all__ = [
     "FAULT_CLASSES",

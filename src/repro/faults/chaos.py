@@ -25,13 +25,16 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest
 from repro.campaign.runner import DEFAULT_CACHE_DIR, Observer, run_sweep
-from repro.campaign.trials import DEFAULT_PRESET
-from repro.config import preset_config
+from repro.config import DEFAULT_PRESET, preset_config
 from repro.errors import CampaignError, FaultInjectionError
+from repro.experiments.common import build_stack
 from repro.faults.injector import OUTCOMES, FaultInjector
 from repro.faults.plan import FaultPlan, plan_by_name
+from repro.hw.platform import trial_scope
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.service.executors import DEFAULT_MAX_ATTEMPTS
+from repro.obs.metrics import use_registry
+from repro.obs.scenarios import scenario_by_name
+from repro.service.executors import BACKENDS, DEFAULT_MAX_ATTEMPTS
 
 #: Import path of the worker-side chaos trial function.
 CHAOS_TRIAL_FN = "repro.faults.chaos:run_chaos_trial"
@@ -65,9 +68,6 @@ class ChaosSpec:
     queue_workers: int = 0
 
     def __post_init__(self) -> None:
-        from repro.obs.scenarios import scenario_by_name
-        from repro.service.executors import BACKENDS
-
         if not self.seeds:
             raise CampaignError("chaos sweep needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -189,11 +189,6 @@ def run_chaos_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     every consumed fault's watchdog check and alarm can land), and
     classifies the injections into the survival matrix.
     """
-    from repro.experiments.common import build_stack
-    from repro.hw.platform import trial_scope
-    from repro.obs.metrics import use_registry
-    from repro.obs.scenarios import scenario_by_name
-
     plan = plan_by_name(task["plan"])
     duration = float(task.get("duration") or plan.duration)
     scenario = scenario_by_name(task["scenario"])

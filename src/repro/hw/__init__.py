@@ -1,15 +1,29 @@
 """Simulated hardware: the multi-core TrustZone board."""
 
-from repro.hw.cluster import Cluster
-from repro.hw.core import Core
-from repro.hw.gic import Gic, InterruptGroup
-from repro.hw.memory import MemoryRegion, PhysicalMemory
-from repro.hw.monitor import SecureExecution, SecureMonitor
-from repro.hw.perf import CorePerf
-from repro.hw.platform import DRAM_BASE, SECURE_SRAM_BASE, Machine, build_machine
-from repro.hw.registers import RegisterFile, SCR_EL3_IRQ_BIT
-from repro.hw.timer import NS_TIMER_INTID, SECURE_TIMER_INTID, SecureTimer, SystemCounter
-from repro.hw.world import World
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "Cluster": "repro.hw.cluster",
+    "Core": "repro.hw.core",
+    "Gic": "repro.hw.gic",
+    "InterruptGroup": "repro.hw.gic",
+    "MemoryRegion": "repro.hw.memory",
+    "PhysicalMemory": "repro.hw.memory",
+    "SecureExecution": "repro.hw.monitor",
+    "SecureMonitor": "repro.hw.monitor",
+    "CorePerf": "repro.hw.perf",
+    "DRAM_BASE": "repro.hw.platform",
+    "SECURE_SRAM_BASE": "repro.hw.platform",
+    "Machine": "repro.hw.platform",
+    "build_machine": "repro.hw.platform",
+    "RegisterFile": "repro.hw.registers",
+    "SCR_EL3_IRQ_BIT": "repro.hw.registers",
+    "NS_TIMER_INTID": "repro.hw.timer",
+    "SECURE_TIMER_INTID": "repro.hw.timer",
+    "SecureTimer": "repro.hw.timer",
+    "SystemCounter": "repro.hw.timer",
+    "World": "repro.hw.world",
+})
 
 __all__ = [
     "Cluster",

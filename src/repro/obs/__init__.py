@@ -13,26 +13,24 @@ Three pillars (docs/observability.md has the operator's view):
   files and their rollup (``python -m repro metrics ...``).
 """
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    merge_snapshots,
-    use_registry,
-)
-from repro.obs.trace_export import (
-    JsonlTraceWriter,
-    PerfettoExporter,
-    perfetto_trace,
-    validate_trace_event_json,
-    write_jsonl,
-    write_perfetto,
-)
-from repro.obs.manifest import (
-    build_manifest,
-    load_manifest,
-    render_manifest,
-    write_manifest,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "MetricsRegistry": "repro.obs.metrics",
+    "active_registry": "repro.obs.metrics",
+    "merge_snapshots": "repro.obs.metrics",
+    "use_registry": "repro.obs.metrics",
+    "JsonlTraceWriter": "repro.obs.trace_export",
+    "PerfettoExporter": "repro.obs.trace_export",
+    "perfetto_trace": "repro.obs.trace_export",
+    "validate_trace_event_json": "repro.obs.trace_export",
+    "write_jsonl": "repro.obs.trace_export",
+    "write_perfetto": "repro.obs.trace_export",
+    "build_manifest": "repro.obs.manifest",
+    "load_manifest": "repro.obs.manifest",
+    "render_manifest": "repro.obs.manifest",
+    "write_manifest": "repro.obs.manifest",
+})
 
 __all__ = [
     "MetricsRegistry",

@@ -13,15 +13,26 @@ it.  ``--follow`` tails a running campaign by re-reading the manifest and
 shards incrementally (:func:`follow_campaign`).
 """
 
-from repro.obs.dashboard.data import (  # noqa: F401
-    DASHBOARD_SCHEMA,
-    build_dashboard_data,
-    dashboard_json,
-    lanes_from_trace,
-)
-from repro.obs.dashboard.follow import (  # noqa: F401
-    follow_campaign,
-    load_manifest_safe,
-    store_progress,
-)
-from repro.obs.dashboard.html import render_dashboard_html  # noqa: F401
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "DASHBOARD_SCHEMA": "repro.obs.dashboard.data",
+    "build_dashboard_data": "repro.obs.dashboard.data",
+    "dashboard_json": "repro.obs.dashboard.data",
+    "lanes_from_trace": "repro.obs.dashboard.data",
+    "follow_campaign": "repro.obs.dashboard.follow",
+    "load_manifest_safe": "repro.obs.dashboard.follow",
+    "store_progress": "repro.obs.dashboard.follow",
+    "render_dashboard_html": "repro.obs.dashboard.html",
+})
+
+__all__ = [
+    "DASHBOARD_SCHEMA",
+    "build_dashboard_data",
+    "dashboard_json",
+    "follow_campaign",
+    "lanes_from_trace",
+    "load_manifest_safe",
+    "render_dashboard_html",
+    "store_progress",
+]

@@ -21,19 +21,25 @@ and multi-process queue runs of one campaign produce byte-identical
 merged manifests (see ``manifest_fingerprint``).
 """
 
-from repro.service.executors import (
-    BACKENDS,
-    ExecMessage,
-    Executor,
-    ForkExecutor,
-    InlineExecutor,
-    ThreadExecutor,
-    execute_tasks,
-    make_executor,
-)
-from repro.service.jobs import JobSpec, JobState, JOB_STATES
-from repro.service.journal import JobJournal, ReplayResult
-from repro.service.queue import FileQueueExecutor, run_worker
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "BACKENDS": "repro.service.executors",
+    "ExecMessage": "repro.service.executors",
+    "Executor": "repro.service.executors",
+    "ForkExecutor": "repro.service.executors",
+    "InlineExecutor": "repro.service.executors",
+    "ThreadExecutor": "repro.service.executors",
+    "execute_tasks": "repro.service.executors",
+    "make_executor": "repro.service.executors",
+    "JobSpec": "repro.service.jobs",
+    "JobState": "repro.service.jobs",
+    "JOB_STATES": "repro.service.jobs",
+    "JobJournal": "repro.service.journal",
+    "ReplayResult": "repro.service.journal",
+    "FileQueueExecutor": "repro.service.queue",
+    "run_worker": "repro.service.queue",
+})
 
 __all__ = [
     "BACKENDS",

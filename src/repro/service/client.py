@@ -21,7 +21,7 @@ import urllib.request
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.jobs import DEFAULT_HOST, DEFAULT_PORT
 
 #: Default service URL the CLI talks to.
 DEFAULT_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"

@@ -28,6 +28,10 @@ from typing import Any, Dict, List, Optional
 from repro.campaign.digest import CODE_VERSION, stable_digest
 from repro.errors import JobTransitionError, ServiceError
 
+#: Where ``repro serve`` listens and the client commands connect by default.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8971
+
 #: Job kinds and the sweep machinery each maps onto.
 JOB_KINDS = ("campaign", "chaos")
 

@@ -113,6 +113,12 @@ def claim_next(queue_dir: str) -> Optional[str]:
             os.rename(source, target)
         except (FileNotFoundError, OSError):
             continue  # another worker won the rename race
+        # A rename keeps the task's enqueue mtime, and the supervisor
+        # judges a claim without a lease by its mtime: start that clock now.
+        try:
+            os.utime(target)
+        except FileNotFoundError:
+            continue  # reclaimed in the window; claim the next one
         return target
     return None
 

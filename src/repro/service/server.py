@@ -52,8 +52,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.runner import DEFAULT_CACHE_DIR
-from repro.campaign.store import job_artifact_dir
+from repro.campaign.store import DEFAULT_CACHE_DIR, job_artifact_dir
 from repro.durable import atomic_write_bytes
 from repro.errors import (
     BackpressureError,
@@ -64,12 +63,8 @@ from repro.errors import (
 from repro.obs.manifest import manifest_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.service.jobs import JobSpec, JobState
+from repro.service.jobs import DEFAULT_HOST, DEFAULT_PORT, JobSpec, JobState
 from repro.service.journal import DEFAULT_COMPACT_EVERY, JobJournal
-
-#: Default bind address of ``repro serve``.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8971
 
 #: Per-job event-log cap: older events are dropped from memory, but event
 #: sequence numbers stay monotonic so a cursor past the drop point still

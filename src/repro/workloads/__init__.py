@@ -1,11 +1,14 @@
 """Synthetic UnixBench workloads for the overhead study."""
 
-from repro.workloads.programs import (
-    UNIXBENCH_PROGRAMS,
-    BenchmarkProgram,
-    program_by_name,
-)
-from repro.workloads.suite import BenchmarkRun, ProgramScore
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "UNIXBENCH_PROGRAMS": "repro.workloads.programs",
+    "BenchmarkProgram": "repro.workloads.programs",
+    "program_by_name": "repro.workloads.programs",
+    "BenchmarkRun": "repro.workloads.suite",
+    "ProgramScore": "repro.workloads.suite",
+})
 
 __all__ = [
     "UNIXBENCH_PROGRAMS",

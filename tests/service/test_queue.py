@@ -234,6 +234,25 @@ class TestLeases:
         assert os.path.exists(os.path.join(queue_dir, "tasks", "t1.json"))
         assert registry.snapshot()["counters"]["queue.leases_reclaimed"] == 1
 
+    def test_claim_of_long_queued_task_not_reclaimed_before_lease(self, tmp_path):
+        """The lease clock starts at the claim, not when the task was queued."""
+        registry = MetricsRegistry()
+        queue_dir = str(tmp_path / "q")
+        executor = FileQueueExecutor(
+            queue_dir, timeout=60.0, lease_ttl=0.2, metrics=registry
+        )
+        executor.start(FN)
+        executor.submit(task_for(1))
+        task = os.path.join(queue_dir, "tasks", "t1.json")
+        stale = time.time() - 10.0
+        os.utime(task, (stale, stale))  # waited in tasks/ past the lease TTL
+        claimed = claim_next(queue_dir)
+        assert claimed
+        executor._reclaim_expired_leases()  # before the worker's first lease
+        assert os.path.exists(claimed)
+        assert not os.path.exists(task)
+        assert "queue.leases_reclaimed" not in registry.snapshot()["counters"]
+
     def test_reclaim_removes_temp_file_of_killed_lease_write(self, tmp_path):
         """Worker killed between the lease temp-file write and its rename."""
         registry = MetricsRegistry()
