@@ -1,34 +1,25 @@
-"""Performance benchmarks behind ``python -m repro bench``.
+"""The determinism gate behind ``python -m repro bench``.
 
-Two kinds of numbers come out of a bench run:
+Every number a bench run reports is a deterministic invariant: the fired
+``(time, seq)`` sequence checksum of the event engine against a bundled
+seed-style reference engine, the fused-vs-per-chunk scan timeline
+(rounds per pass, events fired, timeline signature), and the E1/E9 table
+digests.  They are pure functions of the code and the seeds, so CI fails
+hard on any drift (``repro bench --check FILE``) without being flaky.
 
-* **wall-clock measurements** — events/sec on the event-engine microbench
-  (against a bundled seed-style reference engine), schedule_batch vs
-  one-at-a-time scheduling, fused vs per-chunk scan wall time, and
-  end-to-end trial wall times.  These vary by host and are *reported,
-  never asserted*.
-* **deterministic invariants** — events-fired counts, introspection
-  rounds-per-pass, fired ``(time, seq)`` sequence checksums, and table
-  digests.  These are pure functions of the code and the seeds, so CI can
-  fail hard on any drift (``repro bench --check FILE``) without being
-  flaky.
-
-The JSON written by ``--out`` starts the ``BENCH_*.json`` trajectory: one
-file per optimisation PR, so speedups stay documented and regressions have
-a baseline to be measured against.
+Wall-clock performance is measured end to end by ``benchmarks/e2e``; the
+fixed-vs-adaptive planner comparison is ``benchmarks/planner_bench.py``.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import heapq
 import itertools
 import json
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-#: Bumped whenever the bench suite itself changes shape (new sections,
+#: Bumped whenever the determinism block changes shape (new checks,
 #: changed workloads).  ``--check`` fails on a pinned file carrying a
 #: different version, so a stale baseline reads as an explicit error
 #: instead of a silent key-by-key pass.
@@ -37,8 +28,8 @@ BENCH_VERSION = 10
 # ----------------------------------------------------------------------
 # Seed-style reference engine (the pre-overhaul design, kept verbatim in
 # spirit: Event objects *in* the heap, Python __lt__ per sift, separate
-# peek+pop per fired event).  The microbench ratio and the (time, seq)
-# equivalence check both run against this.
+# peek+pop per fired event).  The (time, seq) equivalence check runs
+# against this.
 # ----------------------------------------------------------------------
 
 
@@ -115,7 +106,7 @@ class ReferenceSimulator:
 
 
 # ----------------------------------------------------------------------
-# Deterministic synthetic workload (shared by speed and equivalence runs)
+# Deterministic synthetic workload for the equivalence check
 # ----------------------------------------------------------------------
 
 _LCG_MULT = 6364136223846793005
@@ -155,153 +146,6 @@ def _timer_wheel_workload(sim, n_events: int, fanout: int = 4, on_fire=None) -> 
     sim.run(max_events=n_events)
 
 
-#: Precomputed pseudo-random delays for the engine microbench, so the
-#: callback under test does near-zero work and the measurement isolates
-#: the engine itself (heap, event allocation, run loop).
-_DELAY_TABLE_LEN = 1 << 12
-
-
-def _delay_table() -> List[float]:
-    lcg = 99991
-    delays = []
-    for _ in range(_DELAY_TABLE_LEN):
-        lcg = (lcg * _LCG_MULT + _LCG_INC) & _MASK64
-        delays.append(((lcg >> 16) % 10_000 + 1) * 1e-7)
-    return delays
-
-
-def _lean_timer_workload(sim, n_events: int, fanout: int = 4) -> None:
-    """Minimal-callback timer wheel: all cost is engine cost.
-
-    Every 8th firing also schedules a victim event and cancels an older
-    one, so lazy deletion stays on the measured path.
-    """
-    delays = _delay_table()
-    mask = _DELAY_TABLE_LEN - 1
-    state = {"i": 0}
-    pending_cancel: List[Any] = []
-
-    def tick() -> None:
-        i = state["i"] = state["i"] + 1
-        sim.schedule(delays[i & mask], tick)
-        if not i & 7:
-            pending_cancel.append(sim.schedule(delays[(i + 1) & mask] * 3, tick))
-            if len(pending_cancel) > 2:
-                pending_cancel.pop(0).cancel()
-
-    for j in range(fanout):
-        sim.schedule(delays[j], tick)
-    sim.run(max_events=n_events)
-
-
-#: chunk count of one synthetic scan pass in the scan-mix workload; matches
-#: a 256 KiB area at the default 4 KiB chunk size.
-_CHUNKS_PER_SCAN = 64
-
-
-def _scan_mix_workload(sim, n_events: int, scanners: int = 4, fused: bool = False) -> None:
-    """Concurrent scanners, each forever re-running a 64-chunk pass.
-
-    This is the event population the real simulator spends its time on:
-    per-chunk ``cpu()`` completions vastly outnumber timers in every
-    E-suite trial.  The reference engine must pay one heap round-trip per
-    chunk; the overhauled engine schedules one :class:`SpanEvent` per pass
-    (``fused=True``) and charges the 64 chunks through span accounting —
-    both fire exactly ``n_events`` *logical* events.
-    """
-    delays = _delay_table()
-    mask = _DELAY_TABLE_LEN - 1
-    cursors = list(range(0, scanners * 1024, 1024))
-
-    if fused:
-        def rearm(s: int) -> None:
-            i = cursors[s]
-            cursors[s] = i + _CHUNKS_PER_SCAN
-            t = sim.now
-            times = []
-            append = times.append
-            for k in range(_CHUNKS_PER_SCAN):
-                t = t + delays[(i + k) & mask]
-                append(t)
-            sim.schedule_span(times, rearm, s)
-
-        for s in range(scanners):
-            rearm(s)
-    else:
-        def chunk(s: int) -> None:
-            i = cursors[s]
-            cursors[s] = i + 1
-            sim.schedule(delays[i & mask], chunk, s)
-
-        for s in range(scanners):
-            chunk(s)
-    sim.run(max_events=n_events)
-
-
-def bench_event_engine(n_events: int = 300_000) -> Dict[str, Any]:
-    """Events/sec through the optimized engine vs the seed-style reference.
-
-    The headline number is the scan-mix workload (the simulator's dominant
-    event population, where the fused engine schedules one span per pass);
-    the timer-wheel number isolates the bare tuple-heap/run-loop win on a
-    workload with no coalescible structure.
-    """
-    from repro.sim.simulator import Simulator
-
-    def timed(workload, engine, **kwargs) -> float:
-        gc.collect()
-        started = time.perf_counter()
-        workload(engine, n_events, **kwargs)
-        return time.perf_counter() - started
-
-    scan_wall = timed(_scan_mix_workload, Simulator(), fused=True)
-    scan_ref_wall = timed(_scan_mix_workload, ReferenceSimulator())
-    timer_wall = timed(_lean_timer_workload, Simulator())
-    timer_ref_wall = timed(_lean_timer_workload, ReferenceSimulator())
-
-    return {
-        "n_events": n_events,
-        "events_per_sec": round(n_events / scan_wall),
-        "reference_events_per_sec": round(n_events / scan_ref_wall),
-        "speedup": round(scan_ref_wall / scan_wall, 2),
-        "timer_wheel": {
-            "events_per_sec": round(n_events / timer_wall),
-            "reference_events_per_sec": round(n_events / timer_ref_wall),
-            "speedup": round(timer_ref_wall / timer_wall, 2),
-        },
-    }
-
-
-def bench_schedule_batch(n_events: int = 200_000) -> Dict[str, Any]:
-    """Push throughput: one-at-a-time schedule() vs schedule_batch()."""
-    from repro.sim.simulator import Simulator
-
-    sim = Simulator()
-    gc.collect()
-    started = time.perf_counter()
-    for i in range(n_events):
-        sim.schedule(1e-6 * (i % 977), _noop)
-    loop_wall = time.perf_counter() - started
-
-    sim = Simulator()
-    items = [(1e-6 * (i % 977), _noop, ()) for i in range(n_events)]
-    gc.collect()
-    started = time.perf_counter()
-    sim.schedule_batch(items)
-    batch_wall = time.perf_counter() - started
-
-    return {
-        "n_events": n_events,
-        "schedule_per_sec": round(n_events / loop_wall),
-        "schedule_batch_per_sec": round(n_events / batch_wall),
-        "speedup": round(loop_wall / batch_wall, 2),
-    }
-
-
-def _noop() -> None:
-    return None
-
-
 def engine_equivalence(n_events: int = 30_000) -> Dict[str, Any]:
     """Fire the synthetic workload on both engines; checksum (time, seq).
 
@@ -335,8 +179,9 @@ def engine_equivalence(n_events: int = 30_000) -> Dict[str, Any]:
 def bench_scan_coalescing(seed: int = 2019, passes: int = 2) -> Dict[str, Any]:
     """Fused vs per-chunk SATIN rounds on identical uncontended stacks.
 
-    Asserts the timeline is bit-identical (round end times, digests,
-    weighted events fired) and reports the wall-clock difference.
+    Reports whether the timeline is bit-identical (round end times,
+    digests, weighted events fired) and how many heap entries each mode
+    scheduled for it.
     """
     from repro.experiments.common import build_stack
 
@@ -345,15 +190,12 @@ def bench_scan_coalescing(seed: int = 2019, passes: int = 2) -> Dict[str, Any]:
         satin = stack.satin
         satin.checker.coalesce_scans = coalesce
         target = passes * len(satin.areas)
-        started = time.perf_counter()
         guard = 0
         while satin.checker.round_count < target and guard < target * 50:
             stack.machine.run_for(satin.policy.tp)
             guard += 1
-        wall = time.perf_counter() - started
         results = satin.checker.results[:target]
         return {
-            "wall": wall,
             "rounds": satin.checker.round_count,
             "events_fired": stack.machine.sim.events_fired,
             "events_scheduled": stack.machine.sim._queue._seq,
@@ -370,9 +212,6 @@ def bench_scan_coalescing(seed: int = 2019, passes: int = 2) -> Dict[str, Any]:
     return {
         "seed": seed,
         "passes": passes,
-        "fused_wall_seconds": round(fused["wall"], 4),
-        "chunked_wall_seconds": round(chunked["wall"], 4),
-        "speedup": round(chunked["wall"] / fused["wall"], 2) if fused["wall"] else None,
         "rounds": fused["rounds"],
         "events_fired": fused["events_fired"],
         "events_fired_chunked": chunked["events_fired"],
@@ -384,126 +223,15 @@ def bench_scan_coalescing(seed: int = 2019, passes: int = 2) -> Dict[str, Any]:
 
 
 def bench_trials() -> Dict[str, Any]:
-    """End-to-end fast-trial wall times for a cheap and an expensive trial."""
+    """Table digests of a cheap (E1) and an expensive (E9) fast trial."""
     from repro.experiments.report import run_experiment
 
     out: Dict[str, Any] = {}
     for experiment_id in ("E1", "E9"):
-        started = time.perf_counter()
         result = run_experiment(experiment_id, seed=2019)
         out[experiment_id] = {
-            "wall_seconds": round(time.perf_counter() - started, 3),
             "table_sha256": hashlib.sha256(result.rendered.encode()).hexdigest(),
         }
-    return out
-
-
-def bench_planner(
-    seeds_count: int = 64,
-    ci_width: float = 75.0,
-    experiment_id: str = "E9",
-    min_seeds: int = 8,
-    round_size: int = 2,
-) -> Dict[str, Any]:
-    """Fixed-budget campaign vs the adaptive planner at the same CI target.
-
-    Runs the experiment twice from fresh caches: once over the full fixed
-    seed budget, once with ``--adaptive`` stopping as soon as the 95% CI
-    on the headline quantity narrows to ``ci_width``.  Reports the seeds
-    each run consumed, the CI width each achieved, and the wall-clock
-    ratio — the ISSUE acceptance number (``seed_reduction``) lives here.
-    """
-    import shutil
-    import tempfile
-
-    from repro.analysis.planning.planner import (
-        CONFIDENCE,
-        _ci_width,
-        select_quantity,
-    )
-    from repro.campaign.runner import CampaignSpec, run_campaign
-    from repro.obs.manifest import load_manifest
-
-    seeds = list(range(2019, 2019 + seeds_count))
-    out: Dict[str, Any] = {
-        "experiment_id": experiment_id,
-        "target_ci_width": ci_width,
-        "confidence": CONFIDENCE,
-    }
-
-    cache = tempfile.mkdtemp(prefix="repro-bench-plan-fixed-")
-    try:
-        spec = CampaignSpec(
-            experiment_id=experiment_id, seeds=seeds, jobs=0, cache_dir=cache
-        )
-        gc.collect()
-        started = time.perf_counter()
-        fixed = run_campaign(spec, progress=False)
-        fixed_wall = time.perf_counter() - started
-        quantity = select_quantity(fixed.records, None)
-        out["quantity"] = quantity
-        out["fixed"] = {
-            "seeds": seeds_count,
-            "wall_seconds": round(fixed_wall, 3),
-            "ci_width": (
-                round(_ci_width(fixed.records, quantity), 4) if quantity else None
-            ),
-        }
-    finally:
-        shutil.rmtree(cache, ignore_errors=True)
-
-    cache = tempfile.mkdtemp(prefix="repro-bench-plan-adaptive-")
-    try:
-        spec = CampaignSpec(
-            experiment_id=experiment_id,
-            seeds=seeds,
-            jobs=0,
-            cache_dir=cache,
-            adaptive=True,
-            ci_width=ci_width,
-            min_seeds=min_seeds,
-            round_size=round_size,
-        )
-        gc.collect()
-        started = time.perf_counter()
-        adaptive = run_campaign(spec, progress=False)
-        adaptive_wall = time.perf_counter() - started
-        manifest = load_manifest(adaptive.manifest_path)
-        planner = manifest.get("planner", {})
-        seeds_used = max(
-            (entry["consumed"] for entry in planner.get("presets", {}).values()),
-            default=len(adaptive.records),
-        )
-        out["adaptive"] = {
-            "seeds_used": seeds_used,
-            "wall_seconds": round(adaptive_wall, 3),
-            "ci_width": (
-                round(_ci_width(adaptive.records, quantity), 4) if quantity else None
-            ),
-            "rounds": planner.get("rounds"),
-        }
-    finally:
-        shutil.rmtree(cache, ignore_errors=True)
-
-    seeds_used = out["adaptive"]["seeds_used"]
-    out["seeds_saved"] = seeds_count - seeds_used  # the ISSUE headline
-    out["seed_reduction"] = (
-        round(seeds_count / seeds_used, 2) if seeds_used else None
-    )
-    adaptive_wall = out["adaptive"]["wall_seconds"]
-    out["speedup"] = (
-        round(out["fixed"]["wall_seconds"] / adaptive_wall, 2)
-        if adaptive_wall
-        else None
-    )
-    fixed_width = out["fixed"]["ci_width"]
-    adaptive_width = out["adaptive"]["ci_width"]
-    out["both_within_target"] = (
-        fixed_width is not None
-        and adaptive_width is not None
-        and fixed_width <= ci_width
-        and adaptive_width <= ci_width
-    )
     return out
 
 
@@ -529,39 +257,20 @@ def determinism_block(results: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_bench(
-    progress: Optional[Callable[[str], None]] = None,
-    planner: bool = False,
-    planner_seeds: int = 64,
-    planner_ci_width: float = 75.0,
-) -> Dict[str, Any]:
-    """Run every benchmark; returns the full result dict.
-
-    ``planner=True`` adds the fixed-vs-adaptive campaign pair; it is
-    opt-in because the pair runs up to ``2 * seeds`` full trials.
-    """
+def run_bench(progress: Optional[Callable[[str], None]] = None) -> Dict[str, Any]:
+    """Run every determinism check; returns the full result dict."""
 
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
     results: Dict[str, Any] = {"bench_version": BENCH_VERSION}
-    note("event engine microbench...")
-    results["event_engine"] = bench_event_engine()
-    note("schedule_batch microbench...")
-    results["schedule_batch"] = bench_schedule_batch()
     note("engine (time, seq) equivalence...")
     results["engine_equivalence"] = engine_equivalence()
     note("scan coalescing (fused vs per-chunk rounds)...")
     results["scan_coalescing"] = bench_scan_coalescing()
-    note("trial wall times (E1, E9)...")
+    note("experiment tables (E1, E9)...")
     results["trials"] = bench_trials()
-    if planner:
-        note(
-            f"adaptive planner differential ({planner_seeds} seeds fixed vs "
-            f"--adaptive at width {planner_ci_width})..."
-        )
-        results["planner"] = bench_planner(planner_seeds, planner_ci_width)
     results["determinism"] = determinism_block(results)
     return results
 

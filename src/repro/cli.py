@@ -48,6 +48,14 @@ import sys
 from typing import List, Optional
 
 
+def _write_artifact(path: str, text: str, what: str) -> None:
+    """Atomically replace ``path`` with ``text`` and say so on stderr."""
+    from repro.durable import atomic_write_bytes
+
+    atomic_write_bytes(path, text.encode("utf-8"))
+    print(f"{what} written to {path}", file=sys.stderr)
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.experiments.report import EXPERIMENT_SPECS
 
@@ -115,9 +123,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if result.manifest_path:
         print(f"manifest written to {result.manifest_path}", file=sys.stderr)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.rendered + "\n")
-        print(f"campaign summary written to {args.output}", file=sys.stderr)
+        _write_artifact(args.output, result.rendered + "\n", "campaign summary")
     else:
         print(result.rendered)
     if result.cancelled:
@@ -158,10 +164,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 2
     print(render_plan(report))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"plan report written to {args.json}", file=sys.stderr)
+        _write_artifact(
+            args.json, json.dumps(report, indent=1, sort_keys=True) + "\n",
+            "plan report",
+        )
     return 0 if report["winner"] is not None else 3
 
 
@@ -202,23 +208,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if result.manifest_path:
         print(f"manifest written to {result.manifest_path}", file=sys.stderr)
     if args.matrix:
-        with open(args.matrix, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "scenario": spec.scenario,
-                    "plan": spec.plan.name,
-                    "seeds": len(seeds),
-                    "classes": result.survival,
-                    "totals": result.totals,
-                },
-                handle, indent=1, sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"survival matrix written to {args.matrix}", file=sys.stderr)
+        matrix = {
+            "scenario": spec.scenario,
+            "plan": spec.plan.name,
+            "seeds": len(seeds),
+            "classes": result.survival,
+            "totals": result.totals,
+        }
+        _write_artifact(
+            args.matrix, json.dumps(matrix, indent=1, sort_keys=True) + "\n",
+            "survival matrix",
+        )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result.rendered + "\n")
-        print(f"chaos summary written to {args.output}", file=sys.stderr)
+        _write_artifact(args.output, result.rendered + "\n", "chaos summary")
     else:
         print(result.rendered)
     if result.cancelled:
@@ -249,13 +251,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             progress=lambda msg: print(msg, file=sys.stderr),
             jobs=jobs,
         )
-    except CampaignError as error:
+    except (CampaignError, KeyError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"report written to {args.output}", file=sys.stderr)
+        _write_artifact(args.output, text, "report")
     else:
         print(text)
     return 0
@@ -385,13 +385,9 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    from repro.durable import atomic_write_bytes
-
-    atomic_write_bytes(args.out, render_dashboard_html(data).encode("utf-8"))
-    print(f"dashboard written to {args.out}", file=sys.stderr)
+    _write_artifact(args.out, render_dashboard_html(data), "dashboard")
     if args.json:
-        atomic_write_bytes(args.json, dashboard_json(data).encode("utf-8"))
-        print(f"dashboard data written to {args.json}", file=sys.stderr)
+        _write_artifact(args.json, dashboard_json(data), "dashboard data")
     return 0
 
 
@@ -404,9 +400,19 @@ def _cmd_store(args: argparse.Namespace) -> int:
         root, campaign_id = os.path.split(os.path.abspath(path.rstrip(os.sep)))
         return ResultStore(root, campaign_id)
 
+    if not os.path.isdir(args.path):
+        print(f"no such directory {args.path!r}", file=sys.stderr)
+        return 2
     if args.action == "pin":
         if not args.key:
             print("store pin: pass --key KEY (repeatable)", file=sys.stderr)
+            return 2
+        if not is_campaign_dir(args.path):
+            print(
+                f"{args.path!r} is not a campaign directory (pin one campaign "
+                "under the cache root)",
+                file=sys.stderr,
+            )
             return 2
         store = open_store(args.path)
         for key in args.key:
@@ -419,9 +425,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     # gc: a campaign dir compacts one store, a cache root compacts all
-    if not os.path.isdir(args.path):
-        print(f"no such directory {args.path!r}", file=sys.stderr)
-        return 2
     targets = [args.path] if is_campaign_dir(args.path) else campaign_dirs(args.path)
     if not targets:
         print(f"no campaign stores under {args.path!r}", file=sys.stderr)
@@ -444,10 +447,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(reports, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"gc report written to {args.report}", file=sys.stderr)
+        _write_artifact(
+            args.report, json.dumps(reports, indent=1, sort_keys=True) + "\n",
+            "gc report",
+        )
     return 0
 
 
@@ -607,9 +610,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"written to {args.output}", file=sys.stderr)
+        _write_artifact(args.output, text, args.job_id)
     else:
         print(text, end="")
     return 0
@@ -633,28 +634,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import check_determinism, run_bench
 
-    results = run_bench(
-        progress=lambda msg: print(msg, file=sys.stderr),
-        planner=args.planner,
-        planner_seeds=args.planner_seeds,
-        planner_ci_width=args.planner_ci_width,
-    )
-    rendered = json.dumps(results, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"bench results written to {args.out}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    engine = results["event_engine"]
-    scans = results["scan_coalescing"]
-    print(
-        f"event engine: {engine['events_per_sec']:,} ev/s "
-        f"({engine['speedup']}x vs seed-style reference); "
-        f"fused scans: {scans['speedup']}x, timeline identical: "
-        f"{scans['timeline_identical']}",
-        file=sys.stderr,
-    )
+    results = run_bench(progress=lambda msg: print(msg, file=sys.stderr))
+    print(json.dumps(results, indent=2, sort_keys=True))
     if args.check:
         problems = check_determinism(results, args.check)
         if problems:
@@ -933,23 +914,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the performance benchmark suite (BENCH_*.json trajectory)",
+        help="run the determinism gate (engine sequence, scan timeline, "
+             "E1/E9 table hashes)",
     )
-    bench.add_argument("-o", "--out", metavar="FILE",
-                       help="write the full bench JSON here (e.g. BENCH_7.json)")
     bench.add_argument("--check", metavar="FILE",
                        help="compare the deterministic block against a pinned "
                             "JSON file; non-zero exit on drift")
-    bench.add_argument("--planner", action="store_true",
-                       help="also benchmark adaptive dispatch: fixed-budget "
-                            "E9 campaign vs --adaptive at the same CI target")
-    bench.add_argument("--planner-seeds", type=int, default=64, metavar="N",
-                       help="fixed-budget seed count the adaptive run is "
-                            "measured against (default 64)")
-    bench.add_argument("--planner-ci-width", type=float, default=75.0,
-                       metavar="W",
-                       help="target 95%% CI width for the planner benchmark "
-                            "(default 75, on E9's avg area gap)")
 
     serve = sub.add_parser(
         "serve",
@@ -1012,15 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--fault-seed-base", type=int, default=0)
     submit.add_argument("--duration", type=float, default=None, metavar="S",
                         help="chaos injection horizon in simulated seconds")
-    submit.add_argument("--backend", default="auto",
-                        choices=("auto", "inline", "thread", "fork", "queue"),
-                        help="executor backend the service should use")
     submit.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker parallelism inside the service job")
-    submit.add_argument("--queue-dir", metavar="DIR", default=None,
-                        help="task queue directory for --backend queue")
-    submit.add_argument("--queue-workers", type=int, default=0, metavar="N",
-                        help="service-side drain threads for --backend queue")
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="per-trial timeout in seconds (0 disables)")
     submit.add_argument("--retries", type=int, default=1)
@@ -1039,6 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="give up waiting after S seconds")
     submit.add_argument("--json", action="store_true",
                         help="print the final job state as JSON on failure")
+    _add_backend_options(submit)
     _add_client_options(submit)
 
     status = sub.add_parser(

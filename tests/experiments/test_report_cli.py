@@ -85,6 +85,13 @@ def test_cli_experiment_unknown_id(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_cli_report_unknown_id(capsys):
+    assert main(["report", "--only", "NOPE"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'NOPE'" in err
+    assert all(spec.experiment_id in err for spec in EXPERIMENT_SPECS)
+
+
 def test_cli_report_to_file(tmp_path, capsys):
     target = tmp_path / "report.md"
     assert main(["report", "--only", "E7", "-o", str(target)]) == 0

@@ -107,5 +107,16 @@ def test_store_pin_cli(tmp_path, capsys):
     assert main(["store", "pin", campaign_dir]) == 2  # no --key
 
 
+def test_store_pin_rejects_missing_path_and_cache_root(tmp_path, capsys):
+    cache, _ = run_small(tmp_path)
+    missing = str(tmp_path / "nope")
+    assert main(["store", "pin", missing, "--key", "deadbeef"]) == 2
+    assert "no such directory" in capsys.readouterr().err
+    assert not os.path.exists(missing)
+    assert main(["store", "pin", cache, "--key", "deadbeef"]) == 2
+    assert "not a campaign directory" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(cache, "pins.json"))
+
+
 def test_store_gc_missing_dir(tmp_path, capsys):
     assert main(["store", "gc", str(tmp_path / "nope")]) == 2

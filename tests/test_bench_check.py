@@ -5,7 +5,8 @@ file.  These tests fabricate results and baselines to pin every way the
 comparison can fail: value drift, a baseline key the run no longer
 produces, a stale ``bench_version`` baseline, and the engine or scan
 equivalence flags turning false.  The happy path and the repo's own
-pinned file are covered too.
+pinned file are covered too, and so is the ``repro bench --check`` CLI
+path on both sides of the gate.
 """
 
 import json
@@ -13,7 +14,9 @@ import os
 
 import pytest
 
+import repro.bench
 from repro.bench import BENCH_VERSION, check_determinism
+from repro.cli import main
 
 REPO_PINNED = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -128,3 +131,36 @@ def test_repo_pinned_baseline_carries_current_version():
         "benchmarks/perf/expected_determinism.json must be regenerated for "
         f"bench_version {BENCH_VERSION}"
     )
+
+
+def all_keys(value):
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield key
+            yield from all_keys(child)
+
+
+def test_cli_check_passes_against_repo_pinned_file(capsys):
+    assert main(["bench", "--check", REPO_PINNED]) == 0
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)
+    assert results["bench_version"] == BENCH_VERSION
+    assert results["determinism"]["engine_sequences_match"] is True
+    wall_keys = {"wall_seconds", "speedup", "event_engine", "schedule_batch"}
+    assert not wall_keys & set(all_keys(results))
+    assert "determinism block matches" in captured.err
+
+
+def test_cli_check_fails_and_names_the_drifted_key(tmp_path, capsys, monkeypatch):
+    with open(REPO_PINNED, "r", encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    block = {key: value for key, value in pinned.items() if key != "bench_version"}
+    monkeypatch.setattr(
+        repro.bench, "run_bench",
+        lambda progress=None: {"bench_version": BENCH_VERSION, "determinism": block},
+    )
+    drifted = dict(pinned, scan_rounds_per_pass=pinned["scan_rounds_per_pass"] + 1)
+    assert main(["bench", "--check", write_baseline(tmp_path, drifted)]) == 1
+    err = capsys.readouterr().err
+    assert "deterministic regression detected" in err
+    assert "scan_rounds_per_pass" in err
