@@ -23,9 +23,15 @@ Trials lean on one process-scoped content cache that is invisible to
 simulated state: :data:`repro.kernel.image._CONTENT_CACHE` (kernel image
 template files, a pure function of image seed, image size, DRAM size and
 image offset), which every new stack maps copy-on-write instead of copying
-the image in.  On fork-based pools the supervisor's warm cache is
-inherited by every worker for free, open files included; spawned workers
-warm their own on the first trial.  Trusted boot
+the image in.  A forked worker inherits the supervisor's cache, open files
+included, but that cache is warm only if the supervisor itself built a
+stack, as the benchmark harness's warm-up does.  The ``repro serve`` and
+``repro campaign`` supervisors never build one, so each of their workers
+(like a spawned one) builds the template on its first trial and imports
+``numpy.random`` there (about 2 MiB resident and 10 ms).  The supervisor
+does not pre-build it: that would hold ``numpy.random`` in the server
+process, which already sets a service's peak RSS, and a worker's build
+holds at most 1 MiB of generated image bytes at a time.  Trusted boot
 always hashes the live image: a digest table is never reused, and the
 scan hash reuses a digest only for a byte-identical input (the per-thread
 memo in :mod:`repro.secure.hashes` compares every byte).

@@ -24,13 +24,14 @@ from repro.kernel.systemmap import Section, SystemMap
 
 #: Process-scoped cache of image *template files* keyed by what fully
 #: determines them: ``(image_seed, size, region_size, offset)``.  A template
-#: is an anonymous in-memory file (``memfd``, so no directory or disk is
-#: involved) as large as the DRAM region, sparse, reading as zeros except for
-#: the image bytes at the image's offset.  The bytes are a pure function of
-#: the key (a private PCG64 stream, no machine RNG involved), so campaign
-#: workers churning through seeds skip the ~12 MB regeneration per trial,
-#: and a pristine DRAM region maps its template copy-on-write instead of
-#: copying the image in.
+#: is an anonymous file (a ``memfd`` on Linux, an unlinked temporary file
+#: elsewhere) as large as the DRAM region, sparse, reading as zeros except
+#: for the image bytes at the image's offset.  The bytes are a pure function
+#: of the key (a private PCG64 stream, no machine RNG involved), written in
+#: :data:`_TEMPLATE_CHUNK` steps so no full-image temporary is ever built.
+#: Campaign workers churning through seeds skip the ~12 MB regeneration per
+#: trial, and a pristine DRAM region maps its template copy-on-write instead
+#: of copying the image in.
 _CONTENT_CACHE: Dict[Tuple[int, int, int, int], BinaryIO] = {}
 
 #: Bound the cache so a long-lived worker sweeping image seeds cannot hold
@@ -43,17 +44,36 @@ _CONTENT_CACHE_MAX = 4
 #: while another thread maps or reads it.
 _CONTENT_CACHE_LOCK = threading.Lock()
 
+#: Template bytes written per step (a multiple of 8: whole PCG64 words).
+_TEMPLATE_CHUNK = 1 << 20
+
+
+def _template_file() -> BinaryIO:
+    """A new anonymous read-write file to back one template."""
+    if hasattr(os, "memfd_create"):
+        return os.fdopen(os.memfd_create("repro-image"), "w+b")
+    import tempfile  # off Linux only: keeps it off the trial import path
+
+    return tempfile.TemporaryFile()
+
 
 def _template(key: Tuple[int, int, int, int]) -> BinaryIO:
     """The template file for ``key``; the caller holds the cache lock."""
     template = _CONTENT_CACHE.get(key)
     if template is None:
         image_seed, size, region_size, offset = key
-        template = os.fdopen(os.memfd_create("repro-image"), "w+b")
+        template = _template_file()
         template.truncate(region_size)
-        rng = np.random.Generator(np.random.PCG64(image_seed))
         template.seek(offset)
-        template.write(rng.integers(0, 256, size=size, dtype=np.uint8))
+        # The raw words' little-endian bytes are exactly what
+        # ``Generator(PCG64(seed)).integers(0, 256, size, dtype=np.uint8)``
+        # returns: numpy takes each word's low 32-bit half, then its high
+        # half, and each half's bytes from the low one up.
+        bits = np.random.PCG64(image_seed)
+        for start in range(0, size, _TEMPLATE_CHUNK):
+            step = min(_TEMPLATE_CHUNK, size - start)
+            words = bits.random_raw(-(-step // 8)).astype("<u8", copy=False)
+            template.write(words.view(np.uint8)[:step])
         template.flush()
         if len(_CONTENT_CACHE) >= _CONTENT_CACHE_MAX:
             _CONTENT_CACHE.pop(next(iter(_CONTENT_CACHE))).close()

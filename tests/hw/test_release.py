@@ -21,6 +21,7 @@ from repro.experiments import report
 from repro.hw import platform
 from repro.hw.platform import DRAM_BASE, SECURE_SRAM_BASE, trial_scope
 from repro.hw.world import World
+from repro.kernel import image
 from repro.obs.metrics import active_registry, use_registry
 
 
@@ -86,6 +87,30 @@ def test_trial_frees_every_backing_and_fd_without_the_collector(
     assert len(closed_backings) >= 3
     assert [ref for ref in closed_backings if ref() is not None] == []
     assert open_fds() == fds
+
+
+def test_without_memfd_a_temporary_file_backs_the_same_template(
+    no_collector, monkeypatch
+):
+    reference = run_experiment_trial({"experiment_id": "E1", "seed": 2019})
+    memfd_templates = image._CONTENT_CACHE
+    monkeypatch.delattr(os, "memfd_create")
+    templates = {}
+    monkeypatch.setattr(image, "_CONTENT_CACHE", templates)
+    try:
+        run_experiment_trial({"experiment_id": "E1", "seed": 1})  # warm the cache
+        fds = open_fds()
+        payload = run_experiment_trial({"experiment_id": "E1", "seed": 2019})
+        assert open_fds() == fds
+        assert payload["rendered"] == reference["rendered"]
+        [(key, template)] = templates.items()
+        _, size, _, offset = key
+        assert os.pread(template.fileno(), size, offset) == os.pread(
+            memfd_templates[key].fileno(), size, offset
+        )
+    finally:
+        for template in templates.values():
+            template.close()
 
 
 def test_a_trial_that_raises_still_releases_its_machines(monkeypatch):

@@ -1,11 +1,14 @@
 """Kernel image tests."""
 
 import gc
+import hashlib
 import os
 import struct
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.attacks.rootkit import EVIL_SYSCALL_HANDLER
@@ -19,6 +22,7 @@ from repro.kernel.image import KernelImage
 from repro.kernel.os import boot_rich_os
 from repro.kernel.syscalls import ENTRY_SIZE, NR_GETTID
 from tests.conftest import SMALL_KERNEL_SIZE, small_config
+from tests.hw.test_release import open_fds
 
 DRAM_BASE = 0x8000_0000
 DRAM_SIZE = 32 * 1024 * 1024
@@ -34,6 +38,22 @@ def _build(image_seed: int = KernelConfig.image_seed) -> KernelImage:
 @pytest.fixture
 def image():
     return _build()
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty template cache whose files are closed afterwards."""
+    cache = {}
+    monkeypatch.setattr(image_module, "_CONTENT_CACHE", cache)
+    yield cache
+    for template in cache.values():
+        template.close()
+
+
+def _template_bytes(key):
+    with image_module._CONTENT_CACHE_LOCK:
+        fd = image_module._template(key).fileno()
+    return os.pread(fd, key[2] + 1, 0)  # a byte past the region reads nothing
 
 
 def test_content_is_deterministic(image):
@@ -119,9 +139,6 @@ def test_image_over_a_written_region_raises():
 def test_dropped_stacks_release_their_descriptors():
     # Each mapped DRAM region holds one descriptor until the collector frees
     # the stack's reference cycle; none may outlive it.
-    def open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
     boot_rich_os(build_machine(small_config()))  # warm the template cache
     gc.collect()
     before = open_fds()
@@ -131,16 +148,15 @@ def test_dropped_stacks_release_their_descriptors():
     assert open_fds() <= before
 
 
-def test_concurrent_builds_share_one_template(monkeypatch):
-    monkeypatch.setattr(image_module, "_CONTENT_CACHE", {})
+def test_concurrent_builds_share_one_template(fresh_cache, monkeypatch):
     made = []
-    real = image_module.os.memfd_create
+    real = image_module._template_file
 
-    def counting(name, *flags):
-        made.append(real(name, *flags))
+    def counting():
+        made.append(real())
         return made[-1]
 
-    monkeypatch.setattr(image_module.os, "memfd_create", counting)
+    monkeypatch.setattr(image_module, "_template_file", counting)
     start = threading.Barrier(4)
     contents = []
 
@@ -158,10 +174,40 @@ def test_concurrent_builds_share_one_template(monkeypatch):
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert len(made) == 1
+    assert len(contents) == 4 and len(set(contents)) == 1
+    assert contents[0] != bytes(SMALL_KERNEL_SIZE)
+
+
+CHUNK = image_module._TEMPLATE_CHUNK
+
+
+@pytest.mark.parametrize("size", [3, CHUNK + 5, 2 * CHUNK])
+def test_streamed_template_equals_one_shot_integers(fresh_cache, size):
+    seed, offset, tail = 0x5A71, 4099, 13
+    template = _template_bytes((seed, size, offset + size + tail, offset))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    image = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    assert template == bytes(offset) + image + bytes(tail)
+
+
+def test_default_template_bytes_are_pinned(fresh_cache):
+    config = KernelConfig()
+    key = (config.image_seed, config.image_size, config.image_size, 0)
+    digest = hashlib.sha256(_template_bytes(key)).hexdigest()
+    assert digest == (
+        "6ff8bd9a987196a15d3e6201ddb08a927597923addeb1ba481172d8f511f6995"
+    )
+
+
+def test_template_build_holds_no_full_image_temporary(fresh_cache):
+    size = 12 * 1024 * 1024
+    np.random.PCG64  # import numpy.random before tracing
+    tracemalloc.start()
     try:
-        assert len(made) == 1
-        assert len(contents) == 4 and len(set(contents)) == 1
-        assert contents[0] != bytes(SMALL_KERNEL_SIZE)
+        with image_module._CONTENT_CACHE_LOCK:
+            image_module._template((1, size, size, 0))
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        for template in image_module._CONTENT_CACHE.values():
-            template.close()
+        tracemalloc.stop()
+    assert peak <= 3 * 1024 * 1024
