@@ -87,8 +87,9 @@ class KProberII:
 
     # ------------------------------------------------------------------
     def _make_body(self, core_index: int, compares: bool):
-        rng = self.machine.rng.stream(f"kprober2.jitter.{core_index}")
-        draw_jitter = self.config.wake_jitter.sampler(rng)
+        draw_jitter = self.machine.rng.sampler(
+            f"kprober2.jitter.{core_index}", self.config.wake_jitter
+        )
 
         def body(task: Task) -> Generator[Any, Any, None]:
             cfg = self.config

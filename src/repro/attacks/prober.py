@@ -59,8 +59,7 @@ class ProbeBuffer:
         self.config = config
         #: the clock every read and write stamps against.
         self._sim = machine.sim
-        self._rng = machine.rng.stream("prober.visibility")
-        self._draw_delay = config.cross_core_delay.sampler(self._rng)
+        self._draw_delay = machine.rng.sampler("prober.visibility", config.cross_core_delay)
         #: per-core list of (write_time, value), newest last.
         self._slots: Dict[int, List[Tuple[float, float]]] = {}
 
@@ -72,18 +71,39 @@ class ProbeBuffer:
 
     def read(self, reader_core: int, target_core: int) -> Optional[float]:
         """Latest visible report of ``target_core`` as seen by ``reader_core``."""
-        history = self._slots.get(target_core)
-        if not history:
-            return None
-        if reader_core == target_core:
-            return history[-1][1]
-        visible_until = self._sim.now - self._draw_delay()
-        for write_time, value in reversed(history):
-            if write_time <= visible_until:
-                return value
-        # Everything in history is too new to be visible: the oldest
-        # retained entry is the best the reader can observe.
-        return history[0][1]
+        return self.sweep(reader_core, (target_core,))[0]
+
+    def sweep(self, reader_core: int, targets: Sequence[int]) -> List[Optional[float]]:
+        """:meth:`read` of every target in turn, in one call.
+
+        Each remote target with a report draws one visibility delay, in
+        target order, exactly as that many :meth:`read` calls would.
+        """
+        now = self._sim.now
+        slots = self._slots
+        draw_delay = self._draw_delay
+        seen: List[Optional[float]] = []
+        append = seen.append
+        for target in targets:
+            history = slots.get(target)
+            if not history:
+                append(None)
+                continue
+            entry = history[-1]
+            if target != reader_core:
+                visible_until = now - draw_delay()
+                # The newest entry is usually visible already.
+                if entry[0] > visible_until:
+                    for entry in reversed(history):
+                        if entry[0] <= visible_until:
+                            break
+                    else:
+                        # Everything in history is too new to be visible:
+                        # the oldest retained entry is the best the reader
+                        # can observe.
+                        entry = history[0]
+            append(entry[1])
+        return seen
 
 
 class ProbeController:
@@ -133,6 +153,8 @@ class ProbeController:
         #: on one observer's stale (visibility-delayed) view after another
         #: observer already saw the core come back.
         self._latest_seen: Dict[int, float] = {}
+        #: per observer, the targets its sweeps read (all but itself).
+        self._remote_targets: Dict[int, List[int]] = {}
         self._active_suspects: set = set()
         self.detections: List[ProbeDetection] = []
         self.clears: List[ProbeClear] = []
@@ -197,16 +219,17 @@ class ProbeController:
         ):
             self.gated_rounds += 1
             return []
-        # Locals for the sweep; read stays a call (the visibility rule).
-        read = self.buffer.read
+        targets = self._remote_targets.get(observer_core)
+        if targets is None:
+            targets = self._remote_targets[observer_core] = [
+                target for target in self.target_cores if target != observer_core
+            ]
         latest_seen = self._latest_seen
         suspects = self._active_suspects
         threshold = self.threshold
+        record_staleness = self.record_staleness
         new_detections: List[ProbeDetection] = []
-        for target in self.target_cores:
-            if target == observer_core:
-                continue
-            their_time = read(observer_core, target)
+        for target, their_time in zip(targets, self.buffer.sweep(observer_core, targets)):
             if their_time is None:
                 continue
             pooled = latest_seen.get(target)
@@ -215,7 +238,7 @@ class ProbeController:
             else:
                 their_time = pooled
             staleness = my_time - their_time
-            if self.record_staleness and target not in suspects:
+            if record_staleness and target not in suspects:
                 self.staleness_samples.append(staleness)
                 if staleness > self.max_staleness:
                     self.max_staleness = staleness

@@ -91,8 +91,9 @@ class UserLevelProber:
 
     # ------------------------------------------------------------------
     def _make_body(self, core_index: int, compares: bool):
-        rng = self.machine.rng.stream(f"uprober.jitter.{core_index}")
-        draw_jitter = self.config.wake_jitter.sampler(rng)
+        draw_jitter = self.machine.rng.sampler(
+            f"uprober.jitter.{core_index}", self.config.wake_jitter
+        )
 
         def body(task: Task) -> Generator[Any, Any, None]:
             cfg = self.config

@@ -8,11 +8,15 @@ into.  ``build_machine(juno_r1_config())`` reproduces the paper's platform.
 A finished machine is a reference cycle (cores, timers and callbacks all
 point back at it), so its memory would wait for the cyclic collector.
 :func:`trial_scope` closes every machine built on the calling thread
-inside it when the block exits, which frees that memory at once.
+inside it when the block exits, which frees that memory at once.  A
+machine built outside any scope is left to the collector, which may not
+reach it for many trials once it sits in the oldest generation; the next
+scope opened on that thread therefore runs one full collection first.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional
@@ -43,6 +47,8 @@ class _Scopes(threading.local):
 
     def __init__(self) -> None:
         self.stack: List[List["Machine"]] = []
+        #: a machine was built outside any scope since the last collection
+        self.unscoped = False
 
 
 _SCOPES = _Scopes()
@@ -54,8 +60,15 @@ def trial_scope() -> Iterator[List["Machine"]]:
 
     The machines are closed on exit, also when the block raises, so
     nothing built in the block may be used afterwards.  Machines built
-    outside any scope, or on another thread, are left alone.
+    outside any scope, or on another thread, are left alone; but when
+    one was built on this thread since the last scope opened, the scope
+    first runs a full collection, so an unreachable one (each maps the
+    whole kernel image, which trusted boot has read) is freed before the
+    trial's own machines are built.
     """
+    if _SCOPES.unscoped:
+        _SCOPES.unscoped = False
+        gc.collect()
     machines: List[Machine] = []
     _SCOPES.stack.append(machines)
     try:
@@ -88,6 +101,8 @@ class Machine:
         )
         if _SCOPES.stack:
             _SCOPES.stack[-1].append(self)
+        else:
+            _SCOPES.unscoped = True
 
         # --- timers, interrupts, cores -------------------------------------
         self.counter = SystemCounter(self.sim, config.counter_frequency_hz)

@@ -18,6 +18,29 @@ per trial build it as a closure over their parameters and ``rng.random``
 (``_bind``), so a draw is one Python frame with no attribute lookups;
 ``sample`` draws through the same closure, so there is one copy of each
 sampling rule and the two paths are draw-for-draw identical.
+
+A stream with a single consumer can go further:
+:meth:`repro.sim.rng.RngRegistry.sampler` serves it from numpy blocks when
+its distribution has a ``block_fill`` (``LogNormalJitter``, and
+``SpikeMixture`` over a lognormal base with a ``BoundedPareto`` spike).  A
+fill reads the stream's own uniforms (the same MT19937 words
+``random.random`` would return) and yields the very values the scalar
+closure would draw from them, in order:
+
+* the rejection-pair test ``z*z/4 <= -log(u2)`` of the normalvariate loop is
+  evaluated for every index at once; ``np.log`` may differ from
+  ``math.log`` in the last bit (0.36% of inputs on x86-64), so every pair
+  within 64 ulps of the boundary is decided again with ``math.log``;
+* draw starts are found with a per-parity next-accepted table and one walk
+  over it (a mixture's selector uniform flips the pair alignment at every
+  draw); a draw that straddles a block is carried into the next;
+* final values come from ``math.exp``, never ``np.exp``, which differs from
+  it on 4.7% of inputs;
+* the rare spikes keep the scalar ``inv_cdf`` on their one uniform.
+
+A fill exists only while ``sample`` is the class's own: a wrapped or
+overridden ``sample`` (a tracer, a profiler, a subclass) gets the scalar
+closure, so what it observes stays what runs.
 """
 
 from __future__ import annotations
@@ -25,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -35,6 +58,23 @@ from repro.errors import ConfigurationError
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 _log = math.log
 _exp = math.exp
+
+#: Uniforms in a stream's first block; each later block doubles, up to
+#: :data:`_BLOCK_CAP` (32 KiB of float64).  Larger blocks save no time
+#: (their temporaries leave the L2 cache) and raise peak memory.  Both are
+#: even, so a plain lognormal block always ends on a pair boundary.
+_BLOCK_FIRST = 512
+_BLOCK_CAP = 4096
+#: Pairs whose ``np.log`` boundary test lands within this relative distance
+#: of ``-log(u2)`` are decided again with ``math.log`` (numpy's log is
+#: within a few ulps; 64 ulps leaves a wide margin and rechecks ~1e-14 of
+#: all pairs).
+_LOG_SLACK = 64 * 2.0 ** -52
+
+#: A block fill: given ``uniforms(n)`` (the stream's next ``n`` uniforms as
+#: a float64 array) and the first and largest block sizes, yield the
+#: distribution's draws block by block.
+BlockFill = Callable[..., Iterator[List[float]]]
 
 
 class Distribution:
@@ -63,6 +103,13 @@ class Distribution:
         if cls.sample is cls._bound_sample:
             return self._bind(rng)
         return partial(self.sample, rng)
+
+    def block_fill(self) -> Optional[BlockFill]:
+        """The exact block fill of this distribution's stream, if it has one.
+
+        ``None`` (the default) means draws go through :meth:`sampler`.
+        """
+        return None
 
     def cdf(self, x: float) -> float:
         """P(X <= x).  Optional; required by the order-statistics fast path."""
@@ -199,6 +246,12 @@ class LogNormalJitter(Distribution):
 
         return draw
 
+    def block_fill(self) -> Optional[BlockFill]:
+        # sigma 0 draws no uniforms at all: nothing to fill.
+        if self.sigma == 0.0 or not _own_sample(self, LogNormalJitter):
+            return None
+        return partial(_lognormal_blocks, self.mu, self.sigma, self.lo_clip, self.hi_clip)
+
     def cdf(self, x: float) -> float:
         if x <= 0:
             return 0.0
@@ -308,6 +361,20 @@ class SpikeMixture(Distribution):
 
         return draw
 
+    def block_fill(self) -> Optional[BlockFill]:
+        base, spike = self.base, self.spike
+        if not (
+            _own_sample(self, SpikeMixture)
+            and _own_sample(spike, BoundedPareto)
+            and _own_sample(base, LogNormalJitter)
+            and base.sigma != 0.0
+        ):
+            return None
+        return partial(
+            _mixture_blocks, self.spike_prob, spike.inv_cdf,
+            base.mu, base.sigma, base.lo_clip, base.hi_clip,
+        )
+
     def cdf(self, x: float) -> float:
         p = self.spike_prob
         return (1.0 - p) * self.base.cdf(x) + p * self.spike.cdf(x)
@@ -352,6 +419,152 @@ class Shifted(Distribution):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Shifted({self.inner!r}, offset={self.offset!r})"
+
+
+#: The ``sample`` each block-filled class defines; a block fill applies only
+#: while it is still in place (not wrapped by a tracer or profiler).
+_DEFINED_SAMPLE = {cls: cls.sample for cls in (LogNormalJitter, BoundedPareto, SpikeMixture)}
+
+
+def _own_sample(dist: Distribution, cls: type) -> bool:
+    """``dist`` is a plain ``cls`` drawing through the class's own ``sample``."""
+    return type(dist) is cls and cls.sample is _DEFINED_SAMPLE[cls]
+
+
+def parameters(dist: Distribution) -> tuple:
+    """``dist``'s type and parameters, recursively.
+
+    Two distributions with equal parameters draw the same values from the
+    same uniforms, however many objects carry them.
+    """
+    return (type(dist), tuple(sorted(
+        (name, parameters(value) if isinstance(value, Distribution) else value)
+        for name, value in vars(dist).items()
+    )))
+
+
+def _pair_test(u1, u2):
+    """``z`` and the normalvariate acceptance of every pair, as arrays.
+
+    ``u1[i]`` and ``u2[i]`` are one trip of the rejection loop (``u2`` is
+    already ``1 - uniform()``); both results equal the scalar loop's.
+    """
+    import numpy as np
+
+    # In place where the scalar arithmetic allows: a block's temporaries
+    # set the fill's share of peak memory.
+    z = u1 - 0.5
+    z *= _NV_MAGICCONST
+    z /= u2
+    lhs = z * z
+    lhs /= 4.0
+    rhs = np.log(u2)
+    np.negative(rhs, out=rhs)
+    accepted = lhs <= rhs
+    gap = lhs - rhs
+    np.abs(gap, out=gap)
+    rhs *= _LOG_SLACK
+    rhs += 1e-300
+    for i in np.flatnonzero(gap <= rhs).tolist():
+        accepted[i] = lhs[i] <= -_log(u2[i])
+    return z, accepted
+
+
+def _clip(values: List[float], lo_clip, hi_clip) -> List[float]:
+    if lo_clip is not None:
+        values = [lo_clip if value < lo_clip else value for value in values]
+    if hi_clip is not None:
+        values = [hi_clip if value > hi_clip else value for value in values]
+    return values
+
+
+def _lognormal_blocks(
+    mu, sigma, lo_clip, hi_clip, uniforms, first=_BLOCK_FIRST, cap=_BLOCK_CAP
+) -> Iterator[List[float]]:
+    """``LogNormalJitter`` draws: every pair of the stream is one loop trip.
+
+    The stream is nothing but rejection-loop pairs, so the draws are the
+    accepted pairs in order; even block sizes keep the pairs aligned.
+    """
+    size = first
+    while True:
+        yield _lognormal_block(uniforms(size), mu, sigma, lo_clip, hi_clip)
+        size = min(2 * size, cap)
+
+
+def _lognormal_block(u, mu, sigma, lo_clip, hi_clip) -> List[float]:
+    z, accepted = _pair_test(u[0::2], 1.0 - u[1::2])
+    return _clip(list(map(_exp, (mu + z[accepted] * sigma).tolist())), lo_clip, hi_clip)
+
+
+def _mixture_blocks(
+    spike_prob, spike_value, mu, sigma, lo_clip, hi_clip, uniforms,
+    first=_BLOCK_FIRST, cap=_BLOCK_CAP,
+) -> Iterator[List[float]]:
+    """``SpikeMixture`` draws over a lognormal base and a one-uniform spike.
+
+    The uniforms of a draw left unfinished at a block's end are carried
+    into the next block.  Each block is filled by a call, so a suspended
+    stream holds only its carry and the draws it has not served yet.
+    """
+    import numpy as np
+
+    carry = np.empty(0)
+    size = first
+    while True:
+        u = np.concatenate((carry, uniforms(size)))
+        values, used = _mixture_block(u, spike_prob, spike_value, mu, sigma, lo_clip, hi_clip)
+        carry = u[used:].copy()
+        del u
+        yield values
+        size = min(2 * size, cap)
+
+
+def _mixture_block(u, spike_prob, spike_value, mu, sigma, lo_clip, hi_clip):
+    """The draws that finish within ``u``, and how many uniforms they used.
+
+    A draw starting at ``s`` reads its selector ``u[s]``; a spike then reads
+    ``u[s+1]``, a base draw the pairs at ``s+1, s+3, ...`` up to the first
+    accepted one.  The pair alignment thus flips with every base draw, so
+    the draw starts are found by a walk over a table of next starts.
+    """
+    import numpy as np
+
+    n = u.size
+    z, accepted = _pair_test(u[:-1], 1.0 - u[1:])
+    # nxt[j]: the first accepted pair among j, j+2, j+4, ... (n + 1: none)
+    nxt = np.where(accepted, np.arange(n - 1), n + 1)
+    for parity in (0, 1):
+        lane = nxt[parity::2]
+        lane[::-1] = np.minimum.accumulate(lane[::-1])
+    # succ[s]: where the next draw starts when one starts at s; n + 1 when
+    # that draw does not finish in this block.
+    succ = np.full(n + 1, n + 1, np.int64)
+    np.minimum(nxt[1:] + 2, n + 1, out=succ[: n - 2])
+    spikes = np.flatnonzero(u[: n - 1] < spike_prob)
+    succ[spikes] = spikes + 2
+    # The walk runs in C: ``map`` reads the list it extends, so each start
+    # looks up the next, until a start past the table raises IndexError.
+    # Starts only grow (succ[s] > s), so the walk ends.
+    chain = [0]
+    try:
+        chain.extend(map(memoryview(succ).__getitem__, chain))
+    except IndexError:
+        pass
+    # chain: 0, the start of every later draw, n + 1.  A base draw ending
+    # at e took the pair at e-2; a spike's e-2 is its own start, whose
+    # value is replaced below.
+    starts = np.fromiter(chain, np.int64, len(chain))[:-1]
+    at = starts[1:]
+    if not at.size:
+        return [], 0
+    values = mu + z[at - 2] * sigma
+    hits = np.flatnonzero(u[starts[:-1]] < spike_prob).tolist()
+    values[hits] = 0.0  # a spike's pair may hold any z: keep exp finite
+    out = _clip(list(map(_exp, values.tolist())), lo_clip, hi_clip)
+    for k in hits:
+        out[k] = spike_value(float(u[chain[k] + 1]))
+    return out, chain[-2]
 
 
 def inverse_cdf(dist: Distribution, u: float, tol: float = 1e-15) -> float:

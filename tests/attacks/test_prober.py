@@ -5,7 +5,9 @@ import pytest
 from repro.attacks.prober import ProbeBuffer, ProbeController
 from repro.config import ProberConfig
 from repro.errors import AttackError
+from repro.hw.platform import build_machine
 from repro.sim.distributions import Constant
+from tests.conftest import small_config
 
 TSLEEP = 2e-4
 
@@ -154,3 +156,23 @@ def test_pooled_staleness_prevents_re_detection_bounce(machine):
     assert len(ctrl.clears) == 1
     assert ctrl.compare(2) == []  # observer 2 does not re-detect
     assert len(ctrl.detections) == 1
+
+
+def test_one_sweep_reads_like_one_read_per_target():
+    twins = [build_machine(small_config()), build_machine(small_config())]
+    buffers = [ProbeBuffer(machine, ProberConfig()) for machine in twins]
+    for machine, buffer in zip(twins, buffers):
+        for step in range(8):  # histories of stochastic visibility
+            for core in range(1, 6):
+                buffer.write(core, step * 10.0 + core)
+            _advance(machine, 3e-5)
+    targets = [1, 2, 3, 4, 5]
+    swept, read = buffers
+    for _ in range(200):
+        assert swept.sweep(0, targets) == [read.read(0, target) for target in targets]
+    # reader's own slot and an empty slot, in target order
+    swept.write(0, 99.0)
+    read.write(0, 99.0)
+    mixed = [3, 0, 7, 1]
+    assert swept.sweep(0, mixed) == [read.read(0, target) for target in mixed]
+    assert swept.sweep(0, mixed)[1:3] == [99.0, None]

@@ -210,3 +210,10 @@ def test_thread_scopes_stay_apart_under_fast_switching():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_a_scope_collects_unreachable_machines_built_outside_scopes(no_collector):
+    dropped = weakref.ref(build_machine(juno_r1_config(seed=7)))
+    assert dropped() is not None  # a reference cycle: only the collector frees it
+    with trial_scope():
+        assert dropped() is None

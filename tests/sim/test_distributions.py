@@ -1,12 +1,16 @@
 """Timing-noise distribution tests."""
 
+import itertools
+import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim import distributions as dists
 from repro.sim.distributions import (
     BoundedPareto,
     Constant,
@@ -16,6 +20,7 @@ from repro.sim.distributions import (
     Uniform,
     inverse_cdf,
 )
+from repro.sim.rng import _numpy_uniforms
 
 
 @pytest.fixture
@@ -210,3 +215,142 @@ def test_sampler_honours_an_overridden_or_wrapped_sample(monkeypatch):
     monkeypatch.undo()
     assert value == plain.sampler(random.Random(3))()
     assert calls == [plain, plain]
+
+
+# ---------------------------------------------------------------------------
+# Exact block fills: draw for draw what the scalar closure draws
+# ---------------------------------------------------------------------------
+
+PARETO = BoundedPareto(xm=8e-5, alpha=2.4, cap=1.32e-3)
+BLOCK_FILLED = [
+    LogNormalJitter(6e-6, 0.6),
+    LogNormalJitter(1.0, 1.0, lo_clip=0.9, hi_clip=1.1),
+    LogNormalJitter(1.0, 2.0, lo_clip=0.5),
+    SpikeMixture(LogNormalJitter(2.2e-5, 0.45), PARETO, 1.1e-4),
+    SpikeMixture(LogNormalJitter(2.2e-5, 0.45), PARETO, 0.0),
+    SpikeMixture(LogNormalJitter(2.2e-5, 0.45, hi_clip=3e-5), PARETO, 0.5),
+    SpikeMixture(LogNormalJitter(2.2e-5, 0.45), PARETO, 1.0),
+]
+#: (first, cap) block sizes: tiny ones make draws straddle every boundary.
+BLOCK_SIZES = [(2, 2), (2, 6), (4, 64), (dists._BLOCK_FIRST, dists._BLOCK_CAP)]
+
+
+def _block_draws(dist, rng, n, sizes=None):
+    first, cap = sizes or (dists._BLOCK_FIRST, dists._BLOCK_CAP)
+    blocks = dist.block_fill()(_numpy_uniforms(rng), first=first, cap=cap)
+    return list(itertools.islice(itertools.chain.from_iterable(blocks), n))
+
+
+def _scalar_draws(dist, rng, n):
+    draw = dist.sampler(rng)
+    return [draw() for _ in range(n)]
+
+
+def _twin(seed, drawn):
+    """Two identical generators that have already drawn ``drawn`` uniforms."""
+    pair = random.Random(seed), random.Random(seed)
+    for rng in pair:
+        for _ in range(drawn):
+            rng.random()
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=st.sampled_from(BLOCK_FILLED),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.integers(0, 700),
+    sizes=st.sampled_from(BLOCK_SIZES),
+)
+def test_block_fill_matches_the_scalar_closure(dist, seed, drawn, sizes):
+    blocked, scalar = _twin(seed, drawn)  # 700 > 624 crosses an MT twist
+    assert _block_draws(dist, blocked, 3000, sizes) == _scalar_draws(dist, scalar, 3000)
+
+
+@pytest.mark.parametrize("dist", [
+    LogNormalJitter(4.0, 0.0),
+    LogNormalJitter(4.0, 0.0, lo_clip=5.0),
+    LogNormalJitter(4.0, 0.0, hi_clip=3.0),
+    SpikeMixture(LogNormalJitter(4.0, 0.0), PARETO, 0.5),
+    SpikeMixture(Uniform(0.0, 1.0), PARETO, 0.5),
+    Uniform(0.0, 1.0),
+], ids=repr)
+def test_no_block_fill_where_it_would_not_pay_or_apply(dist):
+    assert dist.block_fill() is None
+
+
+def test_subclasses_and_wrapped_samples_have_no_block_fill(monkeypatch):
+    class Doubled(LogNormalJitter):
+        def sample(self, rng):
+            return 2.0 * super().sample(rng)
+
+    assert Doubled(1.0, 0.2).block_fill() is None
+    assert SpikeMixture(Doubled(1.0, 0.2), PARETO, 0.1).block_fill() is None
+    monkeypatch.setattr(BoundedPareto, "sample", lambda self, rng: 0.0)
+    assert BLOCK_FILLED[3].block_fill() is None
+
+
+def _ulp_off(function, direction):
+    return lambda x, *args, **kwargs: np.nextafter(function(x, *args, **kwargs), direction)
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+def test_block_draws_do_not_trust_numpy_log_or_exp(monkeypatch, direction):
+    monkeypatch.setattr(np, "log", _ulp_off(np.log, direction))
+    monkeypatch.setattr(np, "exp", _ulp_off(np.exp, direction))
+    for dist in (BLOCK_FILLED[0], BLOCK_FILLED[3]):
+        blocked, scalar = _twin(11, 3)
+        assert _block_draws(dist, blocked, 20000) == _scalar_draws(dist, scalar, 20000)
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+def test_pair_test_rechecks_the_boundary_with_math_log(monkeypatch, direction):
+    # Pairs built to sit on the acceptance boundary z*z/4 == -log(u2), then
+    # nudged by a few ulps either way.
+    u2 = np.linspace(0.05, 0.999, 400)
+    z = 2.0 * np.sqrt(-np.log(u2))
+    u1 = 0.5 + z * u2 / dists._NV_MAGICCONST
+    u1 = np.concatenate([u1 + k * np.spacing(u1) for k in range(-3, 4)])
+    u2 = np.tile(u2, 7)
+    expected = []
+    for a, b in zip(u1.tolist(), u2.tolist()):
+        zz = dists._NV_MAGICCONST * (a - 0.5) / b
+        expected.append(zz * zz / 4.0 <= -math.log(b))
+    shifted = _ulp_off(np.log, direction)
+    zs = dists._NV_MAGICCONST * (u1 - 0.5) / u2
+    naive = (zs * zs / 4.0 <= -shifted(u2)).tolist()
+    assert naive != expected  # the shifted log alone decides some pairs wrongly
+    monkeypatch.setattr(np, "log", shifted)
+    _, accepted = dists._pair_test(u1, u2)
+    assert accepted.tolist() == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 7, 2019])
+def test_a_million_block_draws_match(seed):
+    for dist in (BLOCK_FILLED[0], BLOCK_FILLED[3]):
+        blocked, scalar = _twin(seed, 0)
+        assert _block_draws(dist, blocked, 10**6) == _scalar_draws(dist, scalar, 10**6)
+
+
+class _Replay:
+    """A stand-in ``random.Random`` that returns fixed uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.random = iter(uniforms).__next__
+
+
+def test_a_draw_of_hundreds_of_uniforms_then_an_unfinished_one():
+    # Selector, then 150 rejected pairs (z*z/4 = 0.71 > -log(0.5) = 0.69),
+    # then an accepted pair (z = 0): a 303-uniform draw, followed by two
+    # ordinary draws and the selector of one the block cannot finish.
+    long_draw = [0.5] + [0.99, 0.5] * 150 + [0.5, 0.5]
+    uniforms = long_draw + [0.3, 0.4, 0.2] + [0.7, 0.6, 0.1] + [0.9]
+    dist = SpikeMixture(LogNormalJitter(2.2e-5, 0.45), PARETO, 1.1e-4)
+    base = dist.base
+    values, used = dists._mixture_block(
+        np.array(uniforms), dist.spike_prob, PARETO.inv_cdf,
+        base.mu, base.sigma, base.lo_clip, base.hi_clip,
+    )
+    draw = dist.sampler(_Replay(uniforms))
+    assert used == len(uniforms) - 1 and values == [draw() for _ in range(3)]
