@@ -58,13 +58,11 @@ class CampaignSpec:
     cache_dir: str = DEFAULT_CACHE_DIR
     resume: bool = False
     #: executor backend: "auto" (jobs==0 -> inline, else fork), "inline",
-    #: "thread", "fork", or "queue" (needs ``queue_dir``).  Deliberately
-    #: excluded from ``campaign_id`` — the substrate never changes results.
+    #: "fork", or "queue" (needs ``queue_dir``; ``repro worker`` processes
+    #: drain it).  Deliberately excluded from ``campaign_id`` — the
+    #: substrate never changes results.
     backend: str = "auto"
     queue_dir: Optional[str] = None
-    #: local drain threads to spawn for the queue backend (0 = external
-    #: ``repro worker`` processes own the draining).
-    queue_workers: int = 0
     #: sequential-CI adaptive dispatch: stop consuming seeds per preset
     #: once the 95% CI of the headline quantity is narrower than
     #: ``ci_width`` (see :mod:`repro.analysis.planning.planner`).  Like
@@ -85,7 +83,7 @@ class CampaignSpec:
     round_size: int = 4
 
     def __post_init__(self) -> None:
-        from repro.service.executors import BACKENDS
+        from repro.service.jobs import check_backend
 
         if not self.seeds:
             raise CampaignError("campaign needs at least one seed")
@@ -102,13 +100,7 @@ class CampaignSpec:
             raise CampaignError("campaign needs at least one preset")
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError("campaign seeds must be unique")
-        if self.backend not in ("auto",) + BACKENDS:
-            raise CampaignError(
-                f"unknown backend {self.backend!r} "
-                f"(choose from auto, {', '.join(BACKENDS)})"
-            )
-        if self.backend == "queue" and not self.queue_dir:
-            raise CampaignError("backend 'queue' needs queue_dir")
+        check_backend(self.backend, self.queue_dir)
 
     def campaign_id(self) -> str:
         """Cache directory name: human-readable prefix + grid digest.
@@ -395,8 +387,7 @@ def run_sweep(
         jobs=spec.jobs,
         timeout=spec.timeout,
         metrics=supervisor,
-        queue_dir=getattr(spec, "queue_dir", None),
-        queue_workers=getattr(spec, "queue_workers", 0),
+        queue_dir=spec.queue_dir,
     )
     outcomes, cancelled = execute_tasks(
         pending,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 
 def _write_artifact(path: str, text: str, what: str) -> None:
@@ -82,6 +82,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_execution(args: argparse.Namespace) -> dict:
+    """The execution fields of a campaign or chaos spec."""
+    return dict(
+        jobs=args.jobs,
+        timeout=args.timeout if args.timeout > 0 else None,
+        max_attempts=args.retries + 1,
+        cache_dir=args.cache_dir,
+        resume=args.resume,
+        backend=args.backend,
+        queue_dir=args.queue_dir,
+    )
+
+
+def _progress_mode(args: argparse.Namespace) -> Union[bool, str]:
+    """The ``progress`` argument of a campaign or chaos run."""
+    if args.no_progress:
+        return False
+    if args.quiet:
+        return "quiet"
+    return True
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignSpec, run_campaign
     from repro.errors import ReproError
@@ -96,27 +118,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             seeds=seeds,
             full=args.full,
             presets=tuple(args.preset) if args.preset else ("juno_r1",),
-            jobs=args.jobs,
-            timeout=args.timeout if args.timeout > 0 else None,
-            max_attempts=args.retries + 1,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
-            queue_workers=args.queue_workers,
+            **_sweep_execution(args),
             adaptive=args.adaptive,
             ci_width=args.ci_width,
             ci_quantity=args.ci_quantity,
             min_seeds=args.min_seeds,
             round_size=args.round_size,
         )
-        if args.no_progress:
-            progress = False
-        elif args.quiet:
-            progress = "quiet"
-        else:
-            progress = True
-        result = run_campaign(spec, progress=progress)
+        result = run_campaign(spec, progress=_progress_mode(args))
     except (ReproError, KeyError) as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
@@ -186,22 +195,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             fault_seed_base=args.fault_seed_base,
             preset=args.preset,
             duration=args.duration,
-            jobs=args.jobs,
-            timeout=args.timeout if args.timeout > 0 else None,
-            max_attempts=args.retries + 1,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
-            queue_workers=args.queue_workers,
+            **_sweep_execution(args),
         )
-        if args.no_progress:
-            progress = False
-        elif args.quiet:
-            progress = "quiet"
-        else:
-            progress = True
-        result = run_chaos(spec, progress=progress)
+        result = run_chaos(spec, progress=_progress_mode(args))
     except ReproError as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
@@ -503,7 +499,6 @@ def _job_spec_from_args(args: argparse.Namespace) -> dict:
         spec["timeout"] = args.timeout
     if args.queue_dir:
         spec["queue_dir"] = args.queue_dir
-        spec["queue_workers"] = args.queue_workers
     if args.chaos:
         spec["plan"] = args.faults
         spec["fault_seed_base"] = args.fault_seed_base
@@ -666,16 +661,34 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
+    """The execution options ``campaign`` and ``chaos`` share."""
+    parser.add_argument("--jobs", type=int,
+                        default=max(os.cpu_count() or 1, 1), metavar="N",
+                        help="worker processes (0 = serial in-process)")
+    parser.add_argument("--resume", action="store_true",
+                        help="serve completed trials from the result cache")
+    parser.add_argument("--timeout", type=float, default=600.0,
+                        help="per-trial timeout in seconds (0 disables)")
+    parser.add_argument("--retries", type=int, default=1,
+                        help="retries per failing trial before quarantine")
+    parser.add_argument("--cache-dir", default=".repro-cache",
+                        help="result store root (default .repro-cache)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="progress meter prints only the final tally")
+    parser.add_argument("--no-progress", action="store_true",
+                        help="suppress the stderr progress meter entirely")
+    _add_backend_options(parser)
+
+
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="auto",
-                        choices=("auto", "inline", "thread", "fork", "queue"),
+                        choices=("auto", "inline", "fork", "queue"),
                         help="executor backend (default auto: fork pool, or "
                              "serial in-process when --jobs 0)")
     parser.add_argument("--queue-dir", metavar="DIR", default=None,
-                        help="task queue directory for --backend queue")
-    parser.add_argument("--queue-workers", type=int, default=0, metavar="N",
-                        help="in-process drain threads for --backend queue "
-                             "(0 = rely on external `repro worker` processes)")
+                        help="task queue directory for --backend queue "
+                             "(drained by `repro worker` processes)")
 
 
 def _add_client_options(parser: argparse.ArgumentParser) -> None:
@@ -711,26 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of seeds (default 64)")
     campaign.add_argument("--seed-base", type=int, default=0,
                           help="first seed; trials use base..base+N-1")
-    campaign.add_argument("--jobs", type=int,
-                          default=max(os.cpu_count() or 1, 1), metavar="N",
-                          help="worker processes (0 = serial in-process)")
     campaign.add_argument("--full", action="store_true",
                           help="paper-scale trials")
     campaign.add_argument("--preset", action="append", metavar="NAME",
                           help="platform preset; repeat to form a grid "
                                "(default juno_r1)")
-    campaign.add_argument("--resume", action="store_true",
-                          help="serve completed trials from the result cache")
-    campaign.add_argument("--timeout", type=float, default=600.0,
-                          help="per-trial timeout in seconds (0 disables)")
-    campaign.add_argument("--retries", type=int, default=1,
-                          help="retries per failing trial before quarantine")
-    campaign.add_argument("--cache-dir", default=".repro-cache",
-                          help="result store root (default .repro-cache)")
-    campaign.add_argument("--quiet", action="store_true",
-                          help="progress meter prints only the final tally")
-    campaign.add_argument("--no-progress", action="store_true",
-                          help="suppress the stderr progress meter entirely")
     campaign.add_argument("-o", "--output",
                           help="write the campaign summary to a file")
     campaign.add_argument("--adaptive", action="store_true",
@@ -749,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--round-size", type=int, default=4, metavar="N",
                           help="seeds added per preset per round; doubled "
                                "for solver-contested presets (default 4)")
-    _add_backend_options(campaign)
+    _add_sweep_options(campaign)
 
     plan = sub.add_parser(
         "plan",
@@ -803,26 +801,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--duration", type=float, default=None, metavar="S",
                        help="injection horizon in simulated seconds "
                             "(default: the plan's duration)")
-    chaos.add_argument("--jobs", type=int,
-                       default=max(os.cpu_count() or 1, 1), metavar="N",
-                       help="worker processes (0 = serial in-process)")
-    chaos.add_argument("--resume", action="store_true",
-                       help="serve completed trials from the result cache")
-    chaos.add_argument("--timeout", type=float, default=600.0,
-                       help="per-trial timeout in seconds (0 disables)")
-    chaos.add_argument("--retries", type=int, default=1,
-                       help="retries per failing trial before quarantine")
-    chaos.add_argument("--cache-dir", default=".repro-cache",
-                       help="result store root (default .repro-cache)")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="progress meter prints only the final tally")
-    chaos.add_argument("--no-progress", action="store_true",
-                       help="suppress the stderr progress meter entirely")
     chaos.add_argument("--matrix", metavar="FILE",
                        help="write the survival matrix as JSON (CI artifact)")
     chaos.add_argument("-o", "--output",
                        help="write the chaos summary to a file")
-    _add_backend_options(chaos)
+    _add_sweep_options(chaos)
 
     report = sub.add_parser("report", help="run the whole suite")
     report.add_argument("--seed", type=int, default=2019)

@@ -34,7 +34,8 @@ from repro.hw.platform import trial_scope
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import use_registry
 from repro.obs.scenarios import scenario_by_name
-from repro.service.executors import BACKENDS, DEFAULT_MAX_ATTEMPTS
+from repro.service.executors import DEFAULT_MAX_ATTEMPTS
+from repro.service.jobs import check_backend
 
 #: Import path of the worker-side chaos trial function.
 CHAOS_TRIAL_FN = "repro.faults.chaos:run_chaos_trial"
@@ -65,20 +66,13 @@ class ChaosSpec:
     #: executor backend (same choices and semantics as CampaignSpec).
     backend: str = "auto"
     queue_dir: Optional[str] = None
-    queue_workers: int = 0
 
     def __post_init__(self) -> None:
         if not self.seeds:
             raise CampaignError("chaos sweep needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError("chaos sweep seeds must be unique")
-        if self.backend not in ("auto",) + BACKENDS:
-            raise CampaignError(
-                f"unknown backend {self.backend!r} "
-                f"(choose from auto, {', '.join(BACKENDS)})"
-            )
-        if self.backend == "queue" and not self.queue_dir:
-            raise CampaignError("backend 'queue' needs queue_dir")
+        check_backend(self.backend, self.queue_dir)
         self.plan: FaultPlan = plan_by_name(self.plan_name)
         # Fail fast on a scenario the trial function would reject anyway:
         # without SATIN there is no degradation machinery to audit.
@@ -373,7 +367,7 @@ def run_chaos(
     """Execute a chaos sweep end-to-end through the executor layer.
 
     Shares :func:`repro.campaign.runner.run_sweep` with campaigns, so
-    every backend (inline/thread/fork/queue), the cache, cancellation and
+    every backend (inline/fork/queue), the cache, cancellation and
     quarantine behave identically; only the survival aggregation differs.
     """
     sweep = run_sweep(

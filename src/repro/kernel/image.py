@@ -39,9 +39,9 @@ _CONTENT_CACHE: Dict[Tuple[int, int, int, int], BinaryIO] = {}
 #: is safe: every mapping of it holds its own descriptor.
 _CONTENT_CACHE_MAX = 4
 
-#: Guards the cache under the thread executor backend (concurrent trials in
-#: one process): a template is built once, and is not closed by an eviction
-#: while another thread maps or reads it.
+#: Guards the cache when trials run concurrently in one process (inline
+#: jobs on ``repro serve``'s job threads): a template is built once, and is
+#: not closed by an eviction while another thread maps or reads it.
 _CONTENT_CACHE_LOCK = threading.Lock()
 
 #: Template bytes written per step (a multiple of 8: whole PCG64 words).

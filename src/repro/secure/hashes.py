@@ -37,8 +37,8 @@ references, taken only when a key repeats the previous call's, so inputs
 hashed once (a trusted boot's distinct areas, a chunked scan's 4 KiB
 steps) cost no copy.  A Table I trial hashes the same 1 MiB area 60
 times; comparing it costs about a tenth of folding it.  The slot holds
-one input per thread (the thread-backend executor's threads never share
-one).
+one input per thread (trials on concurrent threads, such as inline jobs
+on ``repro serve``'s job threads, never share one).
 
 A pure-Python reference implementation cross-checks it in the tests.
 sdbm (same structure, multiplier 65599) and fnv1a (non-linear, pure
@@ -107,8 +107,8 @@ def _mult_pow(mult: int, n: int) -> int:
     return pow(mult, n, 1 << 64)
 
 
-#: Float32 staging rows for :func:`_fold_block`.  The thread-backend
-#: campaign executor runs whole trials on concurrent threads, so each
+#: Float32 staging rows for :func:`_fold_block`.  Inline jobs on
+#: ``repro serve``'s job threads run whole trials concurrently, so each
 #: hashing thread gets its own buffer.
 _scratch_local = threading.local()
 

@@ -3,9 +3,9 @@
 The service layer turns campaigns from a function call into a substrate:
 
 * :mod:`repro.service.executors` — the :class:`Executor` interface
-  (``submit``/``poll``/``cancel``/``drain``) with in-process thread,
-  crash-isolated fork-pool, and file-queue worker backends, plus the
-  backend-agnostic supervision loop :func:`execute_tasks`;
+  (``submit``/``poll``/``cancel``/``drain``) with inline, crash-isolated
+  fork-pool and file-queue worker backends, plus the backend-agnostic
+  supervision loop :func:`execute_tasks`;
 * :mod:`repro.service.queue` — the on-disk queue protocol behind
   ``python -m repro worker --queue DIR``;
 * :mod:`repro.service.jobs` — :class:`JobSpec`/:class:`JobState`
@@ -16,20 +16,19 @@ The service layer turns campaigns from a function call into a substrate:
   client commands.
 
 Every backend runs the same trial functions and flows results through the
-same :class:`~repro.campaign.store.ResultStore`, so serial, thread, fork
-and multi-process queue runs of one campaign produce byte-identical
-merged manifests (see ``manifest_fingerprint``).
+same :class:`~repro.campaign.store.ResultStore`, so serial, fork and
+multi-process queue runs of one campaign produce byte-identical merged
+manifests (see ``manifest_fingerprint``).
 """
 
 from repro._lazy import attach
 
 __getattr__, __dir__ = attach(__name__, {
-    "BACKENDS": "repro.service.executors",
+    "BACKENDS": "repro.service.jobs",
     "ExecMessage": "repro.service.executors",
     "Executor": "repro.service.executors",
     "ForkExecutor": "repro.service.executors",
     "InlineExecutor": "repro.service.executors",
-    "ThreadExecutor": "repro.service.executors",
     "execute_tasks": "repro.service.executors",
     "make_executor": "repro.service.executors",
     "JobSpec": "repro.service.jobs",
@@ -53,7 +52,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "ReplayResult",
-    "ThreadExecutor",
     "execute_tasks",
     "make_executor",
     "run_worker",

@@ -8,9 +8,6 @@ execution substrate.  Backends:
 ``inline``
     Serial in-process execution — the reference path every other backend
     must match bit-for-bit.  No timeout enforcement.
-``thread``
-    A pool of daemon threads in the supervisor process.  Cheap start-up,
-    shares the GIL (good for I/O-ish trials and tests); no timeout kill.
 ``fork``
     The crash-isolated fork pool: one OS process per worker slot
     (:class:`_WorkerSlot` running :func:`_worker_main`), per-trial
@@ -19,6 +16,12 @@ execution substrate.  Backends:
     A file-system queue (:mod:`repro.service.queue`) drained by
     ``python -m repro worker --queue DIR`` processes, so many processes
     or machines can serve one sweep.
+
+Every backend runs an attempt with :func:`run_attempt` and reports its
+result through :meth:`ExecMessage.from_raw`.  A trial's ``Exception`` is
+an ``error`` everywhere.  Inline, a ``KeyboardInterrupt`` cancels the run
+and a ``SystemExit`` ends it; a worker process exists only to run trials,
+so there any ``BaseException`` is the trial's ``error`` too.
 
 All backends speak :class:`ExecMessage` and are driven by
 :func:`execute_tasks`, which owns retries/quarantine and is the single
@@ -45,9 +48,7 @@ from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CampaignError, ServiceError
-
-#: Supported backend names (``auto`` resolves by jobs count).
-BACKENDS = ("inline", "thread", "fork", "queue")
+from repro.service.jobs import check_backend
 
 #: Supervision loop poll granularity, seconds.
 _POLL_INTERVAL = 0.05
@@ -106,6 +107,35 @@ class TrialOutcome:
         return self.status == "ok"
 
 
+def run_attempt(
+    fn: Callable[[Dict[str, Any]], Dict[str, Any]], task: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Run one attempt of ``task``; the raw result every backend reports.
+
+    ``{"key", "ok", "elapsed"}`` plus the ``payload``, or the ``error``
+    traceback when the trial raised an ``Exception``.  Any other
+    ``BaseException`` propagates to the code that runs the process.
+    """
+    started = time.monotonic()
+    try:
+        payload = fn(task)
+    except Exception:
+        return failed_attempt(task, started)
+    return {
+        "key": task["key"], "ok": True, "payload": payload,
+        "elapsed": time.monotonic() - started,
+    }
+
+
+def failed_attempt(task: Dict[str, Any], started: float) -> Dict[str, Any]:
+    """The raw result of an attempt whose exception is being handled."""
+    return {
+        "key": task["key"], "ok": False,
+        "error": traceback.format_exc(limit=20),
+        "elapsed": time.monotonic() - started,
+    }
+
+
 def _worker_main(fn_path: str, task_queue, result_queue) -> None:
     """Worker loop: apply the trial function until a ``None`` sentinel."""
     fn = resolve_function(fn_path)
@@ -115,24 +145,10 @@ def _worker_main(fn_path: str, task_queue, result_queue) -> None:
             return
         started = time.monotonic()
         try:
-            payload = fn(task)
-            result_queue.put(
-                {
-                    "key": task["key"],
-                    "ok": True,
-                    "payload": payload,
-                    "elapsed": time.monotonic() - started,
-                }
-            )
-        except BaseException:
-            result_queue.put(
-                {
-                    "key": task["key"],
-                    "ok": False,
-                    "error": traceback.format_exc(limit=20),
-                    "elapsed": time.monotonic() - started,
-                }
-            )
+            raw = run_attempt(fn, task)
+        except BaseException:  # this process only runs trials
+            raw = failed_attempt(task, started)
+        result_queue.put(raw)
 
 
 class _WorkerSlot:
@@ -149,9 +165,12 @@ class _WorkerSlot:
         #: result, drives the respawn cooldown.
         self.crash_count = 0
         self.cooldown_until = 0.0
-        self.process = context.Process(
+        self._start_process()
+
+    def _start_process(self) -> None:
+        self.process = self._context.Process(
             target=_worker_main,
-            args=(fn_path, self.task_queue, result_queue),
+            args=(self._fn_path, self.task_queue, self._result_queue),
             daemon=True,
         )
         self.process.start()
@@ -176,12 +195,7 @@ class _WorkerSlot:
         self.task_queue.close()
         self.task_queue = self._context.Queue()
         self.current = None
-        self.process = self._context.Process(
-            target=_worker_main,
-            args=(self._fn_path, self.task_queue, self._result_queue),
-            daemon=True,
-        )
-        self.process.start()
+        self._start_process()
 
     def shutdown(self) -> None:
         try:
@@ -221,6 +235,17 @@ class ExecMessage:
     def ok(self) -> bool:
         return self.kind == "ok"
 
+    @classmethod
+    def from_raw(cls, raw: Dict[str, Any]) -> "ExecMessage":
+        """The message for a :func:`run_attempt` result."""
+        return cls(
+            key=raw["key"],
+            kind="ok" if raw.get("ok") else "error",
+            payload=raw.get("payload"),
+            error=raw.get("error"),
+            elapsed=raw.get("elapsed", 0.0),
+        )
+
 
 class Executor:
     """Execution substrate interface: submit/poll/cancel/drain.
@@ -233,8 +258,12 @@ class Executor:
     """
 
     name = "abstract"
-    #: whether the backend can kill a trial that exceeds the timeout.
-    supports_timeout = False
+    #: registry for the backend's own counters, or None.
+    metrics: Optional[Any] = None
+
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
 
     def start(self, fn_path: str) -> None:
         raise NotImplementedError
@@ -277,122 +306,12 @@ class InlineExecutor(Executor):
         return not self._done
 
     def submit(self, task: Dict[str, Any]) -> None:
-        started = time.monotonic()
-        try:
-            payload = self._fn(task)
-        except KeyboardInterrupt:
-            raise  # cooperative cancel, handled by execute_tasks
-        except Exception:
-            self._done.append(
-                ExecMessage(
-                    key=task["key"],
-                    kind="error",
-                    error=traceback.format_exc(limit=20),
-                    elapsed=time.monotonic() - started,
-                )
-            )
-        else:
-            self._done.append(
-                ExecMessage(
-                    key=task["key"],
-                    kind="ok",
-                    payload=payload,
-                    elapsed=time.monotonic() - started,
-                )
-            )
+        # KeyboardInterrupt propagates: a cooperative cancel for execute_tasks
+        self._done.append(ExecMessage.from_raw(run_attempt(self._fn, task)))
 
     def poll(self, timeout: float) -> List[ExecMessage]:
         messages, self._done = self._done, []
         return messages
-
-
-# ---------------------------------------------------------------------------
-# thread
-# ---------------------------------------------------------------------------
-
-
-class ThreadExecutor(Executor):
-    """In-process thread pool.
-
-    Threads cannot be killed, so there is no timeout enforcement — a hung
-    trial hangs its thread (the fork backend exists for hostile trials).
-    """
-
-    name = "thread"
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ServiceError(f"thread backend needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-        self._tasks: "queue_module.Queue" = queue_module.Queue()
-        self._results: "queue_module.Queue" = queue_module.Queue()
-        self._threads: List[threading.Thread] = []
-        self._outstanding = 0
-        self._stopping = threading.Event()
-
-    def _worker(self, fn: Callable[[Dict[str, Any]], Dict[str, Any]]) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None or self._stopping.is_set():
-                return
-            started = time.monotonic()
-            try:
-                payload = fn(task)
-                message = ExecMessage(
-                    key=task["key"], kind="ok", payload=payload,
-                    elapsed=time.monotonic() - started,
-                )
-            except BaseException:
-                message = ExecMessage(
-                    key=task["key"], kind="error",
-                    error=traceback.format_exc(limit=20),
-                    elapsed=time.monotonic() - started,
-                )
-            self._results.put(message)
-
-    def start(self, fn_path: str) -> None:
-        fn = resolve_function(fn_path)
-        for index in range(self.jobs):
-            thread = threading.Thread(
-                target=self._worker, args=(fn,),
-                name=f"repro-exec-{index}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def has_capacity(self) -> bool:
-        return self._outstanding < self.jobs
-
-    def submit(self, task: Dict[str, Any]) -> None:
-        self._outstanding += 1
-        self._tasks.put(task)
-
-    def poll(self, timeout: float) -> List[ExecMessage]:
-        messages: List[ExecMessage] = []
-        try:
-            messages.append(self._results.get(timeout=timeout))
-            while True:
-                messages.append(self._results.get_nowait())
-        except queue_module.Empty:
-            pass
-        self._outstanding -= len(messages)
-        return messages
-
-    def cancel(self) -> None:
-        self._stopping.set()
-        try:
-            while True:
-                self._tasks.get_nowait()  # unblock nothing new
-        except queue_module.Empty:
-            pass
-
-    def drain(self) -> None:
-        for _ in self._threads:
-            self._tasks.put(None)
-        deadline = time.monotonic() + (0.5 if self._stopping.is_set() else 5.0)
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        self._threads = []
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +330,6 @@ class ForkExecutor(Executor):
     """
 
     name = "fork"
-    supports_timeout = True
 
     def __init__(
         self,
@@ -456,10 +374,6 @@ class ForkExecutor(Executor):
             raise ServiceError("fork executor has no idle worker slot")
         slot.assign(task)
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
     def _cool_down(self, slot: _WorkerSlot, key: str) -> None:
         slot.crash_count += 1
         delay = _respawn_backoff(
@@ -484,15 +398,7 @@ class ForkExecutor(Executor):
                 return  # stale result from a worker we already gave up on
             slot.current = None
             slot.crash_count = 0  # any message proves the process is healthy
-            messages.append(
-                ExecMessage(
-                    key=key,
-                    kind="ok" if raw["ok"] else "error",
-                    payload=raw.get("payload"),
-                    error=raw.get("error"),
-                    elapsed=raw.get("elapsed", 0.0),
-                )
-            )
+            messages.append(ExecMessage.from_raw(raw))
 
         try:
             absorb(self._result_queue.get(timeout=timeout))
@@ -506,33 +412,22 @@ class ForkExecutor(Executor):
         for slot in self._slots:
             if not slot.busy:
                 continue
-            task = slot.current
-            key = task["key"]
-            if self.timeout is not None and now - slot.started_at > self.timeout:
-                elapsed = now - slot.started_at
-                self._count("campaign.worker_respawns")
-                slot.respawn()
-                self._cool_down(slot, key)
-                messages.append(
-                    ExecMessage(
-                        key=key, kind="timeout",
-                        error=f"trial exceeded {self.timeout:g}s; worker killed",
-                        elapsed=elapsed,
-                    )
-                )
+            elapsed = now - slot.started_at
+            if self.timeout is not None and elapsed > self.timeout:
+                kind = "timeout"
+                error = f"trial exceeded {self.timeout:g}s; worker killed"
             elif not slot.process.is_alive():
-                exitcode = slot.process.exitcode
-                elapsed = now - slot.started_at
-                self._count("campaign.worker_respawns")
-                slot.respawn()
-                self._cool_down(slot, key)
-                messages.append(
-                    ExecMessage(
-                        key=key, kind="crashed",
-                        error=f"worker died mid-trial (exitcode {exitcode})",
-                        elapsed=elapsed,
-                    )
-                )
+                kind = "crashed"
+                error = f"worker died mid-trial (exitcode {slot.process.exitcode})"
+            else:
+                continue
+            key = slot.current["key"]
+            self._count("campaign.worker_respawns")
+            slot.respawn()
+            self._cool_down(slot, key)
+            messages.append(
+                ExecMessage(key=key, kind=kind, error=error, elapsed=elapsed)
+            )
         return messages
 
     def cancel(self) -> None:
@@ -658,36 +553,23 @@ def make_executor(
     timeout: Optional[float] = None,
     metrics: Optional[Any] = None,
     queue_dir: Optional[str] = None,
-    queue_workers: int = 0,
 ) -> Executor:
     """Build the executor for a backend name.
 
-    ``auto`` preserves the historical CLI semantics: ``jobs == 0`` means
-    serial in-process, anything else the fork pool.  The queue backend
-    needs ``queue_dir``; ``queue_workers`` > 0 additionally spawns that
-    many local drain threads so a queue run completes without external
-    ``repro worker`` processes.  Negative ``jobs`` is rejected for every
-    backend.
+    The name and the queue directory pass
+    :func:`~repro.service.jobs.check_backend` first.  ``auto`` preserves the historical CLI semantics: ``jobs == 0`` means
+    serial in-process, anything else the fork pool.  Negative ``jobs`` is
+    rejected for every backend.
     """
     if jobs < 0:
         raise CampaignError(f"jobs must be >= 0, got {jobs}")
+    check_backend(backend, queue_dir)
     if backend == "auto":
         backend = "inline" if jobs == 0 else "fork"
     if backend == "inline":
         return InlineExecutor()
-    if backend == "thread":
-        return ThreadExecutor(jobs=max(1, jobs))
     if backend == "fork":
         return ForkExecutor(jobs=max(1, jobs), timeout=timeout, metrics=metrics)
-    if backend == "queue":
-        from repro.service.queue import FileQueueExecutor
+    from repro.service.queue import FileQueueExecutor
 
-        if not queue_dir:
-            raise ServiceError("queue backend needs a queue directory")
-        return FileQueueExecutor(
-            queue_dir, timeout=timeout, local_workers=queue_workers,
-            metrics=metrics,
-        )
-    raise ServiceError(
-        f"unknown executor backend {backend!r} (choose from {', '.join(BACKENDS)})"
-    )
+    return FileQueueExecutor(queue_dir, timeout=timeout, metrics=metrics)

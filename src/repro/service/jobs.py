@@ -16,6 +16,10 @@ with timestamps, progress counters and the result summary.  Invalid
 transitions raise :class:`~repro.errors.JobTransitionError`.  Both types
 round-trip through JSON (``to_json``/``from_json``) because the service
 persists them as job-scoped artifacts beside the result store.
+
+:func:`check_backend` is the one check of an executor backend name and
+its queue directory; the service's submissions, the campaign and chaos
+specs and :func:`~repro.service.executors.make_executor` all use it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from repro.errors import JobTransitionError, ServiceError
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8971
 
+#: Executor backend names (``auto`` resolves by jobs count); the backends
+#: themselves live in :mod:`repro.service.executors`.
+BACKENDS = ("inline", "fork", "queue")
+
 #: Job kinds and the sweep machinery each maps onto.
 JOB_KINDS = ("campaign", "chaos")
 
@@ -46,6 +54,17 @@ _TRANSITIONS: Dict[str, frozenset] = {
     "cancelled": frozenset(),
     "failed": frozenset(),
 }
+
+
+def check_backend(backend: str, queue_dir: Optional[str]) -> None:
+    """Reject an unknown backend name, and a queue backend with no directory."""
+    if backend != "auto" and backend not in BACKENDS:
+        raise ServiceError(
+            f"unknown executor backend {backend!r} "
+            f"(choose from auto, {', '.join(BACKENDS)})"
+        )
+    if backend == "queue" and not queue_dir:
+        raise ServiceError("queue backend needs a queue directory")
 
 
 @dataclass
@@ -82,7 +101,6 @@ class JobSpec:
     timeout: Optional[float] = None
     max_attempts: int = 2
     queue_dir: Optional[str] = None
-    queue_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -95,8 +113,6 @@ class JobSpec:
             raise ServiceError(f"job needs seeds >= 1, got {self.seeds}")
         if not self.presets:
             raise ServiceError("job needs at least one preset")
-        if self.backend == "queue" and not self.queue_dir:
-            raise ServiceError("queue backend needs queue_dir")
         if self.adaptive:
             if self.kind != "campaign":
                 raise ServiceError("adaptive dispatch is campaign-only")
@@ -141,6 +157,15 @@ class JobSpec:
 
     def to_run_spec(self, cache_dir: str):
         """The campaign/chaos spec this job executes, resuming from cache."""
+        execution = dict(
+            jobs=self.jobs,
+            timeout=self.timeout,
+            max_attempts=self.max_attempts,
+            cache_dir=cache_dir,
+            resume=True,
+            backend=self.backend,
+            queue_dir=self.queue_dir,
+        )
         if self.kind == "campaign":
             from repro.campaign.runner import CampaignSpec
 
@@ -150,19 +175,12 @@ class JobSpec:
                 full=self.full,
                 presets=tuple(self.presets),
                 satin=dict(self.satin) if self.satin else None,
-                jobs=self.jobs,
-                timeout=self.timeout,
-                max_attempts=self.max_attempts,
-                cache_dir=cache_dir,
-                resume=True,
-                backend=self.backend,
-                queue_dir=self.queue_dir,
-                queue_workers=self.queue_workers,
                 adaptive=self.adaptive,
                 ci_width=self.ci_width,
                 ci_quantity=self.ci_quantity,
                 min_seeds=self.min_seeds,
                 round_size=self.round_size,
+                **execution,
             )
         from repro.faults.chaos import ChaosSpec
 
@@ -173,14 +191,7 @@ class JobSpec:
             fault_seed_base=self.fault_seed_base,
             preset=self.presets[0],
             duration=self.duration,
-            jobs=self.jobs,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            cache_dir=cache_dir,
-            resume=True,
-            backend=self.backend,
-            queue_dir=self.queue_dir,
-            queue_workers=self.queue_workers,
+            **execution,
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -232,8 +243,13 @@ class JobState:
     def terminal(self) -> bool:
         return not _TRANSITIONS[self.state]
 
-    def advance(self, new_state: str, error: Optional[str] = None) -> None:
-        """Move the state machine; raises on an illegal transition."""
+    def transition(
+        self, new_state: str, error: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """The fields that move the state machine to ``new_state``, unapplied.
+
+        Raises on an illegal transition.
+        """
         if new_state not in JOB_STATES:
             raise ServiceError(f"unknown job state {new_state!r}")
         if new_state not in _TRANSITIONS[self.state]:
@@ -241,14 +257,16 @@ class JobState:
                 f"job {self.job_id}: illegal transition "
                 f"{self.state!r} -> {new_state!r}"
             )
-        self.state = new_state
-        now = time.time()
-        if new_state == "running":
-            self.started_unix = now
-        else:
-            self.finished_unix = now
+        stamp = "started_unix" if new_state == "running" else "finished_unix"
+        changes: Dict[str, Any] = {"state": new_state, stamp: time.time()}
         if error is not None:
-            self.error = error
+            changes["error"] = error
+        return changes
+
+    def advance(self, new_state: str, error: Optional[str] = None) -> None:
+        """Move the state machine; raises on an illegal transition."""
+        for name, value in self.transition(new_state, error).items():
+            setattr(self, name, value)
 
     def mark_recovered(self) -> None:
         """Reset an in-flight job to ``pending`` after a service restart.
@@ -294,7 +312,15 @@ class JobState:
         if not isinstance(payload, dict):
             raise ServiceError("job state must be a JSON object")
         try:
-            spec = JobSpec.from_json(payload["spec"])
+            spec_json = payload["spec"]
+            if isinstance(spec_json, dict):
+                # a journal written by an older version may carry spec
+                # fields retired since: replay keeps the current ones
+                spec_json = {
+                    name: value for name, value in spec_json.items()
+                    if name in JobSpec.__dataclass_fields__
+                }
+            spec = JobSpec.from_json(spec_json)
             state = cls(
                 job_id=payload["job_id"],
                 spec=spec,

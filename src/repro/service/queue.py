@@ -35,13 +35,17 @@ import json
 import os
 import threading
 import time
-import traceback
 import warnings
 from typing import Any, Dict, List, Optional, Set
 
 from repro.durable import atomic_write_json, is_tmp_for
-from repro.errors import ServiceError
-from repro.service.executors import ExecMessage, Executor, resolve_function
+from repro.service.executors import (
+    ExecMessage,
+    Executor,
+    failed_attempt,
+    resolve_function,
+    run_attempt,
+)
 
 #: Seconds past the trial timeout before a claim counts as abandoned.
 CLAIM_GRACE = 30.0
@@ -289,21 +293,14 @@ def run_worker(
             functions[fn_path] = resolve_function(fn_path)
         started = time.monotonic()
         try:
-            payload = functions[fn_path](task)
-            message = {
-                "key": task["key"], "ok": True, "payload": payload,
-                "elapsed": time.monotonic() - started, "worker": os.getpid(),
-            }
-        except BaseException:
-            message = {
-                "key": task["key"], "ok": False,
-                "error": traceback.format_exc(limit=20),
-                "elapsed": time.monotonic() - started, "worker": os.getpid(),
-            }
+            message = run_attempt(functions[fn_path], task)
+        except BaseException:  # a worker only runs trials
+            message = failed_attempt(task, started)
         finally:
             heartbeat_stop.set()
             if heartbeat is not None:
                 heartbeat.join(timeout=1.0)
+        message["worker"] = os.getpid()
         if write_result(queue_dir, task["key"], message):
             duplicates += 1
         clear_lease(queue_dir, key)
@@ -322,9 +319,7 @@ def run_worker(
 class FileQueueExecutor(Executor):
     """Executor backend over the on-disk queue.
 
-    ``local_workers`` > 0 spawns that many in-process drain threads so a
-    ``--backend queue`` run is self-contained; with 0, external
-    ``repro worker --queue DIR`` processes must drain the queue.
+    ``repro worker --queue DIR`` processes drain the queue.
 
     Lease supervision: :meth:`poll` reclaims any outstanding claim whose
     lease has expired (worker died or stalled past the heartbeat window)
@@ -335,19 +330,15 @@ class FileQueueExecutor(Executor):
     """
 
     name = "queue"
-    supports_timeout = True  # via stale-claim reclaim, not a hard kill
 
     def __init__(
         self,
         queue_dir: str,
         timeout: Optional[float] = None,
-        local_workers: int = 0,
         claim_grace: float = CLAIM_GRACE,
         lease_ttl: float = LEASE_TTL,
         metrics: Optional[Any] = None,
     ) -> None:
-        if not queue_dir:
-            raise ServiceError("queue backend needs a queue directory")
         self.queue_dir = ensure_queue(queue_dir)
         self.timeout = timeout
         self.claim_grace = claim_grace
@@ -358,31 +349,11 @@ class FileQueueExecutor(Executor):
         self._outstanding: Dict[str, float] = {}
         #: keys whose results this run already consumed (duplicate guard).
         self._seen: Set[str] = set()
-        self._stop_event = threading.Event()
-        self._local_workers = local_workers
-        self._threads: List[threading.Thread] = []
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
 
     def start(self, fn_path: str) -> None:
         resolve_function(fn_path)  # fail fast in the supervisor
         self._fn_path = fn_path
         clear_stop(self.queue_dir)
-        for index in range(self._local_workers):
-            thread = threading.Thread(
-                target=run_worker,
-                args=(self.queue_dir,),
-                kwargs={
-                    "stop_event": self._stop_event,
-                    "lease_ttl": self.lease_ttl,
-                },
-                name=f"repro-queue-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
 
     def has_capacity(self) -> bool:
         # The queue itself is unbounded; outstanding work lives on disk.
@@ -474,15 +445,7 @@ class FileQueueExecutor(Executor):
                 # A reclaimed-then-finished task may have been re-enqueued;
                 # withdraw any leftover task/claim so nothing re-runs it.
                 self._remove_queue_files(key)
-                messages.append(
-                    ExecMessage(
-                        key=key,
-                        kind="ok" if raw.get("ok") else "error",
-                        payload=raw.get("payload"),
-                        error=raw.get("error"),
-                        elapsed=raw.get("elapsed", 0.0),
-                    )
-                )
+                messages.append(ExecMessage.from_raw(raw))
             self._reclaim_expired_leases()
             self._drop_duplicate_results()
             stale_after = self._stale_deadline()
@@ -517,9 +480,3 @@ class FileQueueExecutor(Executor):
             except FileNotFoundError:
                 pass
         self._outstanding = {}
-
-    def drain(self) -> None:
-        self._stop_event.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []

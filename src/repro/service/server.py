@@ -63,7 +63,13 @@ from repro.errors import (
 from repro.obs.manifest import manifest_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.service.jobs import DEFAULT_HOST, DEFAULT_PORT, JobSpec, JobState
+from repro.service.jobs import (
+    DEFAULT_HOST,
+    DEFAULT_PORT,
+    JobSpec,
+    JobState,
+    check_backend,
+)
 from repro.service.journal import DEFAULT_COMPACT_EVERY, JobJournal
 
 #: Per-job event-log cap: older events are dropped from memory, but event
@@ -193,6 +199,7 @@ class JobManager:
         accepted job is never dropped, a rejected one is never queued.
         """
         spec = JobSpec.from_json(payload)
+        check_backend(spec.backend, spec.queue_dir)
         digest = spec.config_digest()
         with self._lock:
             if self._draining:
@@ -317,9 +324,8 @@ class JobManager:
         job = self.get(job_id)
         with self._lock:
             if job.state == "pending":
-                job.advance("cancelled")
+                self._advance(job, "cancelled")
                 self.registry.counter("service.jobs_cancelled").inc()
-                self._persist(job)
                 self._log_event(job, "lifecycle", "cancelled")
                 return job
             if job.state == "running":
@@ -353,8 +359,7 @@ class JobManager:
                 job = self._jobs.get(job_id)
                 if job is None or job.state != "pending":
                     continue  # cancelled while queued
-                job.advance("running")
-                self._persist(job)
+                self._advance(job, "running")
                 # inside the lock: a poller that sees the new state must
                 # also see its lifecycle event (the lock is an RLock)
                 self._log_event(job, "lifecycle", "running")
@@ -365,9 +370,10 @@ class JobManager:
                     if not job.terminal:
                         import traceback
 
-                        job.advance("failed", error=traceback.format_exc(limit=10))
+                        self._advance(
+                            job, "failed", error=traceback.format_exc(limit=10)
+                        )
                         self.registry.counter("service.jobs_failed").inc()
-                        self._persist(job)
                         self._log_event(job, "lifecycle", "failed")
 
     def _execute(self, job: JobState) -> None:
@@ -408,10 +414,9 @@ class JobManager:
         wall = time.monotonic() - started
         with self._lock:
             if error is not None or result is None:
-                job.advance("failed", error=error or "job produced no result")
+                self._advance(job, "failed", error=error or "job produced no result")
                 self.registry.counter("service.jobs_failed").inc()
             else:
-                job.manifest_path = result.manifest_path
                 summary: Dict[str, Any] = {
                     "total": result.total,
                     "ran": result.ran,
@@ -429,29 +434,42 @@ class JobManager:
                     ).hexdigest()
                 if getattr(result, "totals", None):  # chaos survival totals
                     summary["survival_totals"] = result.totals
-                job.result = summary
                 self._write_artifact(job, "result.txt", result.rendered + "\n")
                 if summary["pure_cache_hit"]:
                     self.registry.counter("service.cache_hits").inc()
-                if result.cancelled:
-                    job.advance("cancelled")
-                    self.registry.counter("service.jobs_cancelled").inc()
-                else:
-                    job.advance("done")
-                    self.registry.counter("service.jobs_completed").inc()
+                self._advance(
+                    job, "cancelled" if result.cancelled else "done",
+                    result=summary, manifest_path=result.manifest_path,
+                )
+                self.registry.counter(
+                    "service.jobs_cancelled" if result.cancelled
+                    else "service.jobs_completed"
+                ).inc()
             ns.counter(f"state_{job.state}").inc()
             self.registry.histogram("service.job_wall_seconds").observe(wall)
-            self._persist(job)
             self._log_event(job, "lifecycle", job.state)
 
     # ------------------------------------------------------------------
     # Job-scoped artifacts
     # ------------------------------------------------------------------
 
-    def _persist(self, job: JobState) -> None:
-        """Commit a job transition to the journal (recovery replays it)."""
-        self._journal.append(job.to_json())
+    def _persist(self, job: JobState, **changes: Any) -> None:
+        """Journal ``job`` with ``changes`` applied, then apply them.
+
+        Recovery replays the journal, and a reader of ``job`` never sees
+        a field value that a crash could still lose.
+        """
+        self._journal.append({**job.to_json(), **changes})
+        for name, value in changes.items():
+            setattr(job, name, value)
         self._journal.maybe_compact(self._job_table(), every=self.compact_every)
+
+    def _advance(
+        self, job: JobState, new_state: str, error: Optional[str] = None,
+        **changes: Any,
+    ) -> None:
+        """Move ``job`` to ``new_state``, durably before visibly."""
+        self._persist(job, **job.transition(new_state, error), **changes)
 
     def _write_artifact(self, job: JobState, name: str, text: str) -> None:
         """Write a served artifact whole: a reader never sees a torn file."""

@@ -7,6 +7,7 @@ and so spawn-based platforms could import them too.
 
 from __future__ import annotations
 
+import builtins
 import os
 import time
 
@@ -41,6 +42,11 @@ def fail_once(task):
 
 def always_raise(task):
     raise ValueError(f"trial {task['key']} is broken")
+
+
+def raise_named(task):
+    """Raises the builtin exception the task names (any BaseException)."""
+    raise getattr(builtins, task["raise_exception"])(f"trial {task['key']}")
 
 
 def interrupt_at_seed_3(task):

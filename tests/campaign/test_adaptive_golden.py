@@ -83,9 +83,9 @@ def test_adaptive_stopping_is_deterministic(tmp_path):
     assert manifest_fingerprint(resumed) == reference
 
     # parallel dispatch must not change the stopping decision
-    _, threaded = run_adaptive(tmp_path, "jobs2", jobs=2, backend="thread")
-    assert manifest_fingerprint(threaded) == reference
-    assert threaded["planner"]["consumed_trials"] == 8
+    _, forked = run_adaptive(tmp_path, "jobs2", jobs=2, backend="fork")
+    assert manifest_fingerprint(forked) == reference
+    assert forked["planner"]["consumed_trials"] == 8
 
 
 def test_planner_section_is_outside_the_fingerprint(tmp_path):

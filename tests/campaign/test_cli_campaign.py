@@ -1,5 +1,7 @@
 """CLI integration for ``python -m repro campaign`` and ``report --jobs``."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -69,3 +71,18 @@ def test_cli_negative_jobs_is_a_config_error(tmp_path, capsys):
     assert "jobs must be >= 0" in capsys.readouterr().err
     assert main(["report", "--only", "E1", "--jobs", "-1"]) == 2
     assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["campaign", "E7"], ["chaos", "figure4"], ["submit", "E7"],
+])
+@pytest.mark.parametrize("retired", [
+    ["--backend", "thread"], ["--backend", "queue", "--queue-dir", "q",
+                              "--queue-workers", "2"],
+])
+def test_cli_retired_backend_options_are_usage_errors(command, retired, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + retired)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'thread'" in err or "--queue-workers" in err

@@ -143,7 +143,7 @@ def test_inline_mode_retries_and_reports(tmp_path):
 
 
 def test_invalid_arguments():
-    for backend in ("auto", "inline", "thread", "fork"):
+    for backend in ("auto", "inline", "fork", "queue"):
         with pytest.raises(CampaignError, match="jobs must be >= 0"):
             make_executor(backend, jobs=-1)
     with pytest.raises(CampaignError):

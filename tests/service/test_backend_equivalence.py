@@ -1,8 +1,8 @@
 """Golden determinism contract across executor backends.
 
 A backend decides only *where* a trial runs, never its payload — so
-serial, thread-pool, fork-pool, and file-queue-worker runs of the same
-campaign must merge to byte-identical manifests (modulo wall-clock
+serial, fork-pool and file-queue-worker runs of the same campaign must
+merge to byte-identical manifests (modulo wall-clock
 noise, which is exactly what :func:`manifest_fingerprint` strips) and
 identical merged metric sections.
 """
@@ -18,16 +18,16 @@ from repro.obs.manifest import load_manifest, manifest_fingerprint
 #: Every backend must match the first entry (serial in-process) exactly.
 BACKEND_MATRIX = [
     ("inline", dict(jobs=0, backend="inline")),
-    ("thread", dict(jobs=2, backend="thread")),
     ("fork", dict(jobs=2, backend="fork")),
-    ("queue", dict(jobs=2, backend="queue", queue_workers=2)),
+    ("queue", dict(jobs=2, backend="queue")),
 ]
 
 
-def run_backend(tmp_path, name, overrides):
+def run_backend(tmp_path, name, overrides, queue_worker):
     kwargs = dict(overrides)
     if kwargs.get("backend") == "queue":
         kwargs["queue_dir"] = str(tmp_path / f"queue-{name}")
+        queue_worker(kwargs["queue_dir"])
     spec = CampaignSpec(
         experiment_id="E9",
         seeds=list(range(8)),
@@ -38,13 +38,13 @@ def run_backend(tmp_path, name, overrides):
 
 
 @pytest.mark.slow
-def test_all_backends_merge_byte_identically(tmp_path):
+def test_all_backends_merge_byte_identically(tmp_path, queue_worker):
     """ISSUE acceptance: E9 --seeds 8 under every backend, one answer."""
     fingerprints = {}
     metrics_sections = {}
     rendered = {}
     for name, overrides in BACKEND_MATRIX:
-        result = run_backend(tmp_path, name, overrides)
+        result = run_backend(tmp_path, name, overrides, queue_worker)
         assert result.total == 8 and result.ran == 8 and not result.cancelled
         manifest = load_manifest(result.manifest_path)
         fingerprints[name] = manifest_fingerprint(manifest)
@@ -69,7 +69,7 @@ def test_all_backends_merge_byte_identically(tmp_path):
         assert text == reference_rendered, f"{name} rendering diverged"
 
 
-def test_thread_and_inline_agree_on_cheap_campaign(tmp_path):
+def test_fork_and_inline_agree_on_cheap_campaign(tmp_path):
     """Fast (tier-1 default) slice of the golden contract: E7, 4 seeds."""
     fingerprints = []
     for name, overrides in (BACKEND_MATRIX[0], BACKEND_MATRIX[1]):

@@ -9,7 +9,6 @@ from repro.service.executors import (
     ExecMessage,
     ForkExecutor,
     InlineExecutor,
-    ThreadExecutor,
     execute_tasks,
     make_executor,
 )
@@ -22,12 +21,10 @@ def tasks_for(seeds, **extra):
     return [{"key": f"t{seed}", "seed": seed, **extra} for seed in seeds]
 
 
-@pytest.fixture(params=["inline", "thread", "fork"])
+@pytest.fixture(params=["inline", "fork"])
 def executor(request):
     if request.param == "inline":
         return InlineExecutor()
-    if request.param == "thread":
-        return ThreadExecutor(jobs=2)
     return ForkExecutor(jobs=2, timeout=10.0)
 
 
@@ -65,6 +62,48 @@ class TestBackends:
         assert outcomes["t1"].ok
         assert outcomes["t1"].payload == {"value": "recovered"}
         assert retried == [("t1", "error")]
+
+
+class TestTrialExceptions:
+    """What a trial's exception becomes, backend by backend.
+
+    A worker process only runs trials, so every exception there is the
+    trial's ``error``; inline, ``KeyboardInterrupt`` cancels the run and
+    ``SystemExit`` leaves it.
+    """
+
+    @pytest.fixture(params=["inline", "fork", "queue"])
+    def backend(self, request, tmp_path, queue_worker):
+        if request.param == "inline":
+            return InlineExecutor()
+        if request.param == "fork":
+            return ForkExecutor(jobs=1, timeout=30.0)
+        queue_dir = str(tmp_path / "q")
+        queue_worker(queue_dir)
+        return FileQueueExecutor(queue_dir)
+
+    @pytest.mark.parametrize(
+        "exception", ["Exception", "KeyboardInterrupt", "SystemExit"]
+    )
+    def test_trial_exception_outcome(self, backend, exception):
+        tasks = tasks_for([1], raise_exception=exception)
+
+        def run():
+            return execute_tasks(
+                tasks, f"{HELPERS}:raise_named", backend, max_attempts=1
+            )
+
+        if backend.name == "inline" and exception == "SystemExit":
+            with pytest.raises(SystemExit):
+                run()
+            return
+        outcomes, cancelled = run()
+        if backend.name == "inline" and exception == "KeyboardInterrupt":
+            assert cancelled and outcomes == {}
+            return
+        assert not cancelled
+        assert outcomes["t1"].status == "error"
+        assert exception in outcomes["t1"].error
 
 
 class TestForkSpecifics:
@@ -124,7 +163,7 @@ class TestSupervisionLoop:
         event = threading.Event()
         event.set()
         outcomes, cancelled = execute_tasks(
-            tasks_for([1, 2]), f"{HELPERS}:double_seed", ThreadExecutor(jobs=1),
+            tasks_for([1, 2]), f"{HELPERS}:double_seed", InlineExecutor(),
             cancel_event=event,
         )
         assert cancelled and outcomes == {}
@@ -140,7 +179,7 @@ class TestSupervisionLoop:
         outcomes, cancelled = execute_tasks(
             tasks_for([1, 2, 3, 4, 5, 6], delay=0.05),
             f"{HELPERS}:slow_double_seed",
-            ThreadExecutor(jobs=1),
+            InlineExecutor(),
             on_final=on_final,
             cancel_event=event,
         )
@@ -155,7 +194,6 @@ class TestMakeExecutor:
 
     def test_explicit_backends(self, tmp_path):
         assert make_executor("inline").name == "inline"
-        assert make_executor("thread", jobs=2).name == "thread"
         assert make_executor("fork", jobs=2).name == "fork"
         queue_exec = make_executor("queue", queue_dir=str(tmp_path / "q"))
         assert isinstance(queue_exec, FileQueueExecutor)
@@ -167,3 +205,5 @@ class TestMakeExecutor:
     def test_unknown_backend(self):
         with pytest.raises(ServiceError, match="unknown executor backend"):
             make_executor("carrier-pigeon")
+        with pytest.raises(ServiceError, match="unknown executor backend 'thread'"):
+            make_executor("thread", jobs=2)

@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.service import client
+from repro.service.journal import JobJournal
 from repro.service.queue import FileQueueExecutor, run_worker
 from repro.service.server import JobManager
 
@@ -280,3 +281,117 @@ class TestWorkerKillRecovery:
         counters = registry.snapshot()["counters"]
         assert counters["queue.duplicate_results"] == 1
         assert os.listdir(os.path.join(queue_dir, "results")) == []
+
+
+# ---------------------------------------------------------------------------
+# Journals written before the in-process queue drain threads were removed
+# ---------------------------------------------------------------------------
+
+#: Verbatim journal lines from the previous release (only the manifest
+#: path is shortened).  Their specs carry the retired ``queue_workers``
+#: field, and the second names the retired ``thread`` backend.
+LEGACY_DONE_LINE = (
+    '{"job": {"created_unix": 1792423215.7020233, "digest": '
+    '"21d622f45696620a", "error": null, "finished_unix": '
+    '1792423216.0688653, "job_id": "job-0001-21d622f4", '
+    '"manifest_path": "E7-b08e02b2d07e/manifest.json", "progress": '
+    '{"cached": 0, "done": 2, "failed": 0, "retried": 0, "total": 2}, '
+    '"recoveries": 0, "result": {"cached": 0, "campaign_id": '
+    '"E7-b08e02b2d07e", "fingerprint_sha256": "499cd117fa1cc9f5b63e8548'
+    '60301e15b3f48096f3ac0c02777eecd14a0af6b2", "pure_cache_hit": '
+    'false, "quarantined": 0, "ran": 2, "records": 2, "total": 2}, '
+    '"spec": {"adaptive": false, "backend": "inline", "ci_quantity": '
+    'null, "ci_width": null, "duration": null, "fault_seed_base": 0, '
+    '"full": false, "jobs": 0, "kind": "campaign", "max_attempts": 2, '
+    '"min_seeds": 8, "plan": "smoke", "presets": ["juno_r1"], '
+    '"queue_dir": null, "queue_workers": 0, "round_size": 4, "satin": '
+    'null, "seed_base": 0, "seeds": 2, "target": "E7", "timeout": '
+    'null}, "started_unix": 1792423215.7057776, "state": "done"}, "v": '
+    '1}'
+)
+
+LEGACY_THREAD_LINE = (
+    '{"job": {"created_unix": 1792423216.6773834, "digest": '
+    '"3429591ba99b4f7e", "error": null, "finished_unix": null, '
+    '"job_id": "job-0001-3429591b", "manifest_path": null, "progress": '
+    '{"cached": 0, "done": 0, "failed": 0, "retried": 0, "total": 3}, '
+    '"recoveries": 0, "result": null, "spec": {"adaptive": false, '
+    '"backend": "thread", "ci_quantity": null, "ci_width": null, '
+    '"duration": null, "fault_seed_base": 0, "full": false, "jobs": 2, '
+    '"kind": "campaign", "max_attempts": 2, "min_seeds": 8, "plan": '
+    '"smoke", "presets": ["juno_r1"], "queue_dir": null, '
+    '"queue_workers": 0, "round_size": 4, "satin": null, "seed_base": '
+    '0, "seeds": 3, "target": "E7", "timeout": null}, "started_unix": '
+    'null, "state": "pending"}, "v": 1}'
+)
+
+
+def write_journal(cache, *lines):
+    directory = os.path.join(cache, "journal")
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "journal.jsonl"), "w") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+
+
+class TestLegacyJournal:
+    def test_terminal_job_restored_as_the_same_job(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        write_journal(cache, LEGACY_DONE_LINE)
+        manager = frozen_manager(cache)
+        expected = json.loads(LEGACY_DONE_LINE)["job"]
+        del expected["spec"]["queue_workers"]
+        assert manager.get(expected["job_id"]).to_json() == expected
+        counters = manager.registry.snapshot()["counters"]
+        assert "journal.unreadable_jobs" not in counters
+
+    def test_inflight_thread_job_fails_with_unknown_backend(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        write_journal(cache, LEGACY_THREAD_LINE)
+        manager = JobManager(cache_dir=cache, max_workers=1)
+        try:
+            job = manager.get(json.loads(LEGACY_THREAD_LINE)["job"]["job_id"])
+            deadline = time.monotonic() + 60
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert job.state == "failed"
+            assert "unknown executor backend 'thread'" in job.error
+            assert job.recoveries == 1
+        finally:
+            manager.shutdown()
+
+
+class TestJournalBeforeVisibility:
+    def test_a_new_state_is_journaled_before_it_is_visible(
+        self, tmp_path, monkeypatch
+    ):
+        """Every transition reaches the journal while the job still shows
+        its old state, so no reader sees a state a crash could lose."""
+        manager = None
+        seen = []
+        append = JobJournal.append
+
+        def hooked(journal, job_json):
+            if manager is not None and job_json["state"] != "pending":
+                visible = manager._jobs[job_json["job_id"]].state
+                seen.append((job_json["state"], visible))
+            append(journal, job_json)
+
+        monkeypatch.setattr(JobJournal, "append", hooked)
+        manager = frozen_manager(str(tmp_path / "frozen"))
+        job, _ = manager.submit(SPEC)
+        manager.cancel(job.job_id)  # pending -> cancelled
+        manager = JobManager(cache_dir=str(tmp_path / "live"), max_workers=1)
+        try:
+            run_to_done(manager, SPEC)  # running, done
+            failed, _ = manager.submit(dict(SPEC, presets=["nope"]))
+            deadline = time.monotonic() + 60
+            while not failed.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert failed.state == "failed"
+        finally:
+            manager.shutdown()
+        assert {new for new, _ in seen} == {
+            "cancelled", "running", "done", "failed"
+        }
+        for new, visible in seen:
+            assert visible != new, f"{new!r} was visible before it was durable"

@@ -88,7 +88,7 @@ class TestJobManager:
         manager = JobManager(cache_dir=str(tmp_path), max_workers=1)
         manager._stopping.set()  # freeze execution for this test
         first, deduped1 = manager.submit(SPEC)
-        second, deduped2 = manager.submit(dict(SPEC, jobs=4, backend="thread"))
+        second, deduped2 = manager.submit(dict(SPEC, jobs=4, backend="fork"))
         assert not deduped1 and deduped2
         assert second.job_id == first.job_id  # execution fields don't matter
         other, deduped3 = manager.submit(dict(SPEC, seeds=3))
