@@ -50,6 +50,7 @@ def bench_planner(
     )
     from repro.campaign.runner import CampaignSpec, run_campaign
     from repro.obs.manifest import load_manifest
+    from repro.service.jobs import Execution
 
     seeds = list(range(2019, 2019 + seeds_count))
     out: Dict[str, Any] = {
@@ -61,7 +62,8 @@ def bench_planner(
     cache = tempfile.mkdtemp(prefix="repro-bench-plan-fixed-")
     try:
         spec = CampaignSpec(
-            experiment_id=experiment_id, seeds=seeds, jobs=0, cache_dir=cache
+            experiment_id=experiment_id, seeds=seeds,
+            execution=Execution(jobs=0, cache_dir=cache),
         )
         gc.collect()
         started = time.perf_counter()
@@ -84,8 +86,7 @@ def bench_planner(
         spec = CampaignSpec(
             experiment_id=experiment_id,
             seeds=seeds,
-            jobs=0,
-            cache_dir=cache,
+            execution=Execution(jobs=0, cache_dir=cache),
             adaptive=True,
             ci_width=ci_width,
             min_seeds=min_seeds,

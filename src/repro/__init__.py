@@ -65,6 +65,7 @@ __getattr__, __dir__ = attach(__name__, {
     "SchedulingError": "repro.errors",
     "SecureAccessError": "repro.errors",
     "ServiceError": "repro.errors",
+    "SettingsError": "repro.errors",
     "SimulationError": "repro.errors",
     "build_stack": "repro.experiments.common",
     "run_ablations": "repro.experiments.ablations",
@@ -116,6 +117,7 @@ __all__ = [
     "SchedulingError",
     "SecureAccessError",
     "ServiceError",
+    "SettingsError",
     "SimulationError",
     "KProberI",
     "KProberII",

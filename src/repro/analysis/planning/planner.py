@@ -26,6 +26,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.analysis.planning.solver import DECISION_THRESHOLD, solve_preset
@@ -38,44 +39,6 @@ from repro.obs.metrics import merge_snapshots
 #: Confidence level of the sequential intervals (matches the campaign
 #: tables' ``95% ci`` column, so "same CI width" means the same thing).
 CONFIDENCE = 0.95
-
-
-class _TaskSlice:
-    """A campaign-shaped proxy dispatching a subset of the parent's tasks.
-
-    ``run_sweep`` only needs ``trial_tasks()``/``campaign_id()`` plus the
-    spec's execution attributes, so delegating everything else to the
-    parent lets each planner round run through the unmodified sweep
-    machinery against one shared store.
-    """
-
-    def __init__(self, parent, tasks: Sequence[Dict[str, Any]]):
-        self._parent = parent
-        self._tasks = list(tasks)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._parent, name)
-
-    def trial_tasks(self) -> List[Dict[str, Any]]:
-        return [dict(task) for task in self._tasks]
-
-    def campaign_id(self) -> str:
-        return self._parent.campaign_id()
-
-
-class _PlannedView(_TaskSlice):
-    """The consumed slice of the grid, for rendering and the manifest.
-
-    ``seeds`` shadows the parent's so the manifest's spec section and the
-    rendered header describe what actually ran (the consumed prefix of
-    the seed stream), and ``trial_tasks()`` returns exactly the consumed
-    tasks in parent task order — the fingerprint view then covers the
-    consumed trials and nothing else.
-    """
-
-    def __init__(self, parent, tasks: Sequence[Dict[str, Any]], seeds: Sequence[int]):
-        super().__init__(parent, tasks)
-        self.seeds = list(seeds)
 
 
 def _samples_for(
@@ -177,8 +140,6 @@ def run_adaptive_campaign(
 
     if trial_fn is None:
         trial_fn = TRIAL_FN
-    if spec.ci_width is None or spec.ci_width <= 0:
-        raise CampaignError("adaptive campaign needs --ci-width > 0")
 
     started_wall = time.monotonic()
     out = stream if stream is not None else sys.stderr
@@ -187,7 +148,8 @@ def run_adaptive_campaign(
         if progress is not False:
             print(f"[plan] {message}", file=out, flush=True)
 
-    parent_tasks = spec.trial_tasks()
+    parent = spec.sweep()
+    parent_tasks = parent.tasks
     tasks_by_preset: Dict[str, List[Dict[str, Any]]] = {}
     for task in parent_tasks:
         tasks_by_preset.setdefault(task["preset"], []).append(task)
@@ -250,7 +212,7 @@ def run_adaptive_campaign(
             round_tasks.extend(take)
 
         sweep = run_sweep(
-            _TaskSlice(spec, round_tasks),
+            replace(parent, tasks=round_tasks),
             trial_fn,
             stream=stream,
             progress=progress,
@@ -309,15 +271,21 @@ def run_adaptive_campaign(
                 )
 
     # ------------------------------------------------------------------
-    # Consumed view: exactly the dispatched tasks, in parent task order.
+    # Consumed view: exactly the dispatched tasks, in parent task order,
+    # over the consumed prefix of the seed stream — the rendered header
+    # and the manifest describe what actually ran, and the fingerprint
+    # view covers the consumed trials and nothing else.
     consumed_keys = set()
     for preset in spec.presets:
         for task in tasks_by_preset[preset][: cursor[preset]]:
             consumed_keys.add(task["key"])
     consumed_tasks = [t for t in parent_tasks if t["key"] in consumed_keys]
     records = [ok_by_key[t["key"]] for t in consumed_tasks if t["key"] in ok_by_key]
-    seeds_view = list(spec.seeds[: max(cursor.values()) if cursor else 0])
-    view = _PlannedView(spec, consumed_tasks, seeds_view)
+    view = replace(
+        parent,
+        tasks=consumed_tasks,
+        seeds=list(spec.seeds[: max(cursor.values()) if cursor else 0]),
+    )
 
     budget = len(parent_tasks)
     planner = {

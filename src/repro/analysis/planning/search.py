@@ -178,6 +178,7 @@ def _simulate_gap(
 ) -> Optional[float]:
     """Measured mean "avg area gap" from a short E9 campaign."""
     from repro.campaign.runner import CampaignSpec, run_campaign
+    from repro.service.jobs import Execution
 
     spec = CampaignSpec(
         experiment_id="E9",
@@ -189,9 +190,7 @@ def _simulate_gap(
             candidate["deviation_fraction"],
             candidate["partition_mode"],
         ).satin_overrides(),
-        jobs=0,
-        cache_dir=cache_dir,
-        resume=True,
+        execution=Execution(jobs=0, cache_dir=cache_dir, resume=True),
     )
     result = run_campaign(spec, progress=False)
     samples: List[float] = []

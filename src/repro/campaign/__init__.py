@@ -10,8 +10,9 @@ Entry points::
 
     python -m repro campaign E9 --seeds 64 --jobs 4 --resume
 
-    from repro.campaign import CampaignSpec, run_campaign
-    result = run_campaign(CampaignSpec("E9", seeds=range(64), jobs=4))
+    from repro.campaign import CampaignSpec, Execution, run_campaign
+    spec = CampaignSpec("E9", seeds=range(64), execution=Execution(jobs=4))
+    result = run_campaign(spec)
 """
 
 from repro._lazy import attach
@@ -24,20 +25,24 @@ __getattr__, __dir__ = attach(__name__, {
     "ProgressMeter": "repro.campaign.progress",
     "CampaignResult": "repro.campaign.runner",
     "CampaignSpec": "repro.campaign.runner",
+    "Sweep": "repro.campaign.runner",
     "SweepRun": "repro.campaign.runner",
     "aggregate_records": "repro.campaign.runner",
     "run_campaign": "repro.campaign.runner",
     "run_sweep": "repro.campaign.runner",
     "ResultStore": "repro.campaign.store",
     "TrialOutcome": "repro.service.executors",
+    "Execution": "repro.service.jobs",
 })
 
 __all__ = [
     "CODE_VERSION",
     "CampaignResult",
     "CampaignSpec",
+    "Execution",
     "ProgressMeter",
     "ResultStore",
+    "Sweep",
     "SweepRun",
     "TrialOutcome",
     "aggregate_records",

@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.analysis.stats import Summary, mean_ci
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest, trial_key
 from repro.campaign.progress import ProgressMeter
-from repro.campaign.store import DEFAULT_CACHE_DIR, ResultStore
+from repro.campaign.store import ResultStore
 from repro.config import DEFAULT_PRESET, build_trial_config
 from repro.errors import CampaignError
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import MetricsRegistry
-from repro.service.executors import DEFAULT_MAX_ATTEMPTS, TrialOutcome
+from repro.service.executors import TrialOutcome
+from repro.service.jobs import Execution, check_planner
 
 #: Type of the optional sweep observer: ``observer(event, info)`` fires on
 #: "cached", "done", "failed", "retry" and "cancelled" — the service uses
@@ -43,30 +44,46 @@ Observer = Callable[[str, Dict[str, Any]], None]
 #: Import path of the worker-side trial function.
 TRIAL_FN = "repro.campaign.trials:run_experiment_trial"
 
+
+@dataclass(frozen=True)
+class Sweep:
+    """What one sweep runs and how: all that :func:`run_sweep`, the
+    rendered header and :func:`~repro.obs.manifest.build_manifest` read.
+
+    The adaptive planner narrows it with :func:`dataclasses.replace`.
+    """
+
+    experiment_id: str
+    campaign_id: str
+    tasks: Sequence[Dict[str, Any]]
+    seeds: Sequence[int]
+    presets: Sequence[str]
+    full: bool
+    execution: Execution
+
+
 @dataclass
 class CampaignSpec:
-    """Everything that defines a campaign run."""
+    """Everything that defines a campaign run.
+
+    ``jobs``, ``cache_dir`` and ``resume`` are also accepted as flat
+    constructor keywords (:class:`dataclasses.InitVar`, ``None`` when not
+    given) and merged into ``execution``; read them back from there.
+    """
 
     experiment_id: str
     seeds: Sequence[int]
     full: bool = False
     presets: Sequence[str] = (DEFAULT_PRESET,)
     satin: Optional[Dict[str, Any]] = None
-    jobs: int = 1
-    timeout: Optional[float] = None
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    cache_dir: str = DEFAULT_CACHE_DIR
-    resume: bool = False
-    #: executor backend: "auto" (jobs==0 -> inline, else fork), "inline",
-    #: "fork", or "queue" (needs ``queue_dir``; ``repro worker`` processes
-    #: drain it).  Deliberately excluded from ``campaign_id`` — the
-    #: substrate never changes results.
-    backend: str = "auto"
-    queue_dir: Optional[str] = None
+    execution: Execution = field(default_factory=Execution)
+    jobs: InitVar[Optional[int]] = None
+    cache_dir: InitVar[Optional[str]] = None
+    resume: InitVar[Optional[bool]] = None
     #: sequential-CI adaptive dispatch: stop consuming seeds per preset
     #: once the 95% CI of the headline quantity is narrower than
     #: ``ci_width`` (see :mod:`repro.analysis.planning.planner`).  Like
-    #: ``backend`` these knobs are excluded from
+    #: ``execution`` these knobs are excluded from
     #: ``campaign_id`` — an adaptive run shares the fixed run's cache
     #: (it consumes a prefix of the same seed stream), and its manifest
     #: covers exactly the consumed trials.
@@ -82,25 +99,33 @@ class CampaignSpec:
     #: solver flags as contested).
     round_size: int = 4
 
-    def __post_init__(self) -> None:
-        from repro.service.jobs import check_backend
-
+    def __post_init__(
+        self, jobs: Optional[int], cache_dir: Optional[str], resume: Optional[bool]
+    ) -> None:
+        flat = {"jobs": jobs, "cache_dir": cache_dir, "resume": resume}
+        flat = {name: value for name, value in flat.items() if value is not None}
+        if flat:
+            self.execution = replace(self.execution, **flat)
         if not self.seeds:
             raise CampaignError("campaign needs at least one seed")
-        if self.jobs < 0:
-            raise CampaignError(f"jobs must be >= 0, got {self.jobs}")
         if self.adaptive:
-            if self.ci_width is None or self.ci_width <= 0:
-                raise CampaignError("--adaptive needs --ci-width > 0")
-            if self.min_seeds < 2:
-                raise CampaignError("adaptive min_seeds must be >= 2")
-            if self.round_size < 1:
-                raise CampaignError("adaptive round_size must be >= 1")
+            check_planner(self.ci_width, self.min_seeds, self.round_size)
         if not self.presets:
             raise CampaignError("campaign needs at least one preset")
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError("campaign seeds must be unique")
-        check_backend(self.backend, self.queue_dir)
+
+    def sweep(self) -> Sweep:
+        """The full grid as a :class:`Sweep`."""
+        return Sweep(
+            experiment_id=self.experiment_id.upper(),
+            campaign_id=self.campaign_id(),
+            tasks=self.trial_tasks(),
+            seeds=list(self.seeds),
+            presets=tuple(self.presets),
+            full=self.full,
+            execution=self.execution,
+        )
 
     def campaign_id(self) -> str:
         """Cache directory name: human-readable prefix + grid digest.
@@ -148,7 +173,7 @@ class CampaignSpec:
 class CampaignResult:
     """Outcome of one campaign run."""
 
-    spec: CampaignSpec
+    spec: Any  # the CampaignSpec (a ChaosSpec in a ChaosResult)
     total: int
     records: List[Dict[str, Any]]  # ok records, in task order
     cached: int
@@ -246,17 +271,17 @@ def aggregate_records(records: Sequence[Dict[str, Any]]) -> List[str]:
 
 
 def render_campaign(
-    spec: CampaignSpec,
+    sweep: Sweep,
     records: Sequence[Dict[str, Any]],
     cached: int,
     ran: int,
     quarantined: Sequence[Dict[str, Any]],
 ) -> str:
-    total = len(spec.seeds) * len(spec.presets)
+    total = len(sweep.seeds) * len(sweep.presets)
     lines = [
-        f"# campaign {spec.experiment_id.upper()} — "
-        f"{len(spec.seeds)} seeds x {len(spec.presets)} preset(s), "
-        f"scale={'full' if spec.full else 'fast'}",
+        f"# campaign {sweep.experiment_id} — "
+        f"{len(sweep.seeds)} seeds x {len(sweep.presets)} preset(s), "
+        f"scale={'full' if sweep.full else 'fast'}",
         f"trials: {total} total, {ran} ran, {cached} cached, "
         f"{len(quarantined)} quarantined",
         "",
@@ -283,7 +308,6 @@ class SweepRun:
     differ between the two.
     """
 
-    tasks: List[Dict[str, Any]]
     store: ResultStore
     records: List[Dict[str, Any]]
     cached: int
@@ -299,9 +323,20 @@ class SweepRun:
     def wall_seconds(self) -> float:
         return time.monotonic() - self.started_wall
 
+    def finish(self, sweep: Sweep, result: CampaignResult, **sections: Any):
+        """Write ``result``'s manifest, plus extra top-level ``sections``."""
+        manifest = build_manifest(
+            sweep, result, wall_seconds=self.wall_seconds,
+            supervisor_snapshot=self.supervisor.snapshot(),
+            cancelled=self.cancelled, store_health=self.store_health,
+        )
+        manifest.update(sections)
+        result.manifest_path = write_manifest(self.store.directory, manifest)
+        return result
+
 
 def run_sweep(
-    spec,
+    sweep: Sweep,
     trial_fn: str,
     stream: Optional[TextIO] = None,
     progress: Union[bool, str] = True,
@@ -310,17 +345,18 @@ def run_sweep(
 ) -> SweepRun:
     """Cache consult + executor fan-out + store writeback, backend-agnostic.
 
-    ``spec`` is any campaign-shaped spec (``trial_tasks``/``campaign_id``/
-    ``backend``/``jobs``/...).  On cancellation (``cancel_event`` set or
-    ``KeyboardInterrupt``) the pool is drained, completed records are kept,
-    and the returned :class:`SweepRun` carries ``cancelled=True`` — callers
-    still render and write a partial manifest.
+    Runs ``sweep.tasks`` as ``sweep.execution`` says.  On cancellation
+    (``cancel_event`` set or ``KeyboardInterrupt``) the pool is drained,
+    completed records are kept, and the returned :class:`SweepRun`
+    carries ``cancelled=True`` — callers still render and write a partial
+    manifest.
     """
     from repro.service.executors import execute_tasks, make_executor
 
     started_wall = time.monotonic()
-    tasks = spec.trial_tasks()
-    store = ResultStore(spec.cache_dir, spec.campaign_id())
+    execution = sweep.execution
+    tasks = sweep.tasks
+    store = ResultStore(execution.cache_dir, sweep.campaign_id)
     # Index-backed open: a warm --resume seeks straight to its cache hits
     # instead of streaming every shard (store.full_scans stays 0).
     store.ensure_index()
@@ -328,7 +364,7 @@ def run_sweep(
     cached_records: Dict[str, Dict[str, Any]] = {}
     pending: List[Dict[str, Any]] = []
     for task in tasks:
-        record = store.ok_record(task["key"]) if spec.resume else None
+        record = store.ok_record(task["key"]) if execution.resume else None
         if record is not None:
             cached_records[task["key"]] = record
         else:
@@ -382,18 +418,11 @@ def run_sweep(
         meter.note_retry()
         notify("retry", {"key": task["key"], "kind": kind})
 
-    executor = make_executor(
-        backend=spec.backend,
-        jobs=spec.jobs,
-        timeout=spec.timeout,
-        metrics=supervisor,
-        queue_dir=spec.queue_dir,
-    )
     outcomes, cancelled = execute_tasks(
         pending,
         trial_fn,
-        executor,
-        max_attempts=spec.max_attempts,
+        make_executor(execution, metrics=supervisor),
+        max_attempts=execution.max_attempts,
         on_final=finalize_member,
         on_retry=on_retry,
         metrics=supervisor,
@@ -430,7 +459,6 @@ def run_sweep(
         supervisor.counter("campaign.store_record_reads").inc(store.record_reads)
 
     return SweepRun(
-        tasks=tasks,
         store=store,
         records=records,
         cached=len(cached_records),
@@ -466,7 +494,7 @@ def run_campaign(
     :func:`run_sweep`), which stops consuming seeds per preset the
     moment the target CI width is met.
     """
-    if getattr(spec, "adaptive", False):
+    if spec.adaptive:
         from repro.analysis.planning.planner import run_adaptive_campaign
 
         return run_adaptive_campaign(
@@ -477,37 +505,28 @@ def run_campaign(
             observer=observer,
             cancel_event=cancel_event,
         )
-    sweep = run_sweep(
-        spec, trial_fn,
+    sweep = spec.sweep()
+    run = run_sweep(
+        sweep, trial_fn,
         stream=stream, progress=progress,
         observer=observer, cancel_event=cancel_event,
     )
     rendered = render_campaign(
-        spec, sweep.records,
-        cached=sweep.cached, ran=sweep.ran, quarantined=sweep.quarantined,
+        sweep, run.records,
+        cached=run.cached, ran=run.ran, quarantined=run.quarantined,
     )
-    if sweep.cancelled:
+    if run.cancelled:
         rendered = (
             f"!! campaign cancelled — partial results "
-            f"({len(sweep.records)}/{len(sweep.tasks)} trials)\n" + rendered
+            f"({len(run.records)}/{len(sweep.tasks)} trials)\n" + rendered
         )
-    result = CampaignResult(
+    return run.finish(sweep, CampaignResult(
         spec=spec,
         total=len(sweep.tasks),
-        records=sweep.records,
-        cached=sweep.cached,
-        ran=sweep.ran,
-        quarantined=sweep.quarantined,
+        records=run.records,
+        cached=run.cached,
+        ran=run.ran,
+        quarantined=run.quarantined,
         rendered=rendered,
-        cancelled=sweep.cancelled,
-    )
-    manifest = build_manifest(
-        spec,
-        result,
-        wall_seconds=sweep.wall_seconds,
-        supervisor_snapshot=sweep.supervisor.snapshot(),
-        cancelled=sweep.cancelled,
-        store_health=sweep.store_health,
-    )
-    result.manifest_path = write_manifest(sweep.store.directory, manifest)
-    return result
+        cancelled=run.cancelled,
+    ))

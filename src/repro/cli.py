@@ -82,17 +82,36 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_execution(args: argparse.Namespace) -> dict:
-    """The execution fields of a campaign or chaos spec."""
-    return dict(
+def _execution(args: argparse.Namespace, **local: object):
+    """The ``Execution`` the options describe (``local``: cache_dir, resume)."""
+    from repro.service.jobs import Execution
+
+    return Execution(
         jobs=args.jobs,
         timeout=args.timeout if args.timeout > 0 else None,
         max_attempts=args.retries + 1,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
         backend=args.backend,
         queue_dir=args.queue_dir,
+        **local,
     )
+
+
+def _finish_sweep(args: argparse.Namespace, result, noun: str, run: str) -> int:
+    """Report a finished campaign or chaos run; its exit code."""
+    if result.manifest_path:
+        print(f"manifest written to {result.manifest_path}", file=sys.stderr)
+    if args.output:
+        _write_artifact(args.output, result.rendered + "\n", f"{noun} summary")
+    else:
+        print(result.rendered)
+    if result.cancelled:
+        print(
+            f"{run} cancelled — {len(result.records)}/{result.total} trials "
+            "completed; rerun with --resume to continue",
+            file=sys.stderr,
+        )
+        return 130
+    return 0 if result.records else 3
 
 
 def _progress_mode(args: argparse.Namespace) -> Union[bool, str]:
@@ -118,7 +137,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             seeds=seeds,
             full=args.full,
             presets=tuple(args.preset) if args.preset else ("juno_r1",),
-            **_sweep_execution(args),
+            execution=_execution(args, cache_dir=args.cache_dir, resume=args.resume),
             adaptive=args.adaptive,
             ci_width=args.ci_width,
             ci_quantity=args.ci_quantity,
@@ -129,20 +148,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except (ReproError, KeyError) as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    if result.manifest_path:
-        print(f"manifest written to {result.manifest_path}", file=sys.stderr)
-    if args.output:
-        _write_artifact(args.output, result.rendered + "\n", "campaign summary")
-    else:
-        print(result.rendered)
-    if result.cancelled:
-        print(
-            f"campaign cancelled — {len(result.records)}/{result.total} trials "
-            "completed; rerun with --resume to continue",
-            file=sys.stderr,
-        )
-        return 130
-    return 0 if result.records else 3
+    return _finish_sweep(args, result, "campaign", "campaign")
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -195,14 +201,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             fault_seed_base=args.fault_seed_base,
             preset=args.preset,
             duration=args.duration,
-            **_sweep_execution(args),
+            execution=_execution(args, cache_dir=args.cache_dir, resume=args.resume),
         )
         result = run_chaos(spec, progress=_progress_mode(args))
     except ReproError as error:
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    if result.manifest_path:
-        print(f"manifest written to {result.manifest_path}", file=sys.stderr)
     if args.matrix:
         matrix = {
             "scenario": spec.scenario,
@@ -215,20 +219,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             args.matrix, json.dumps(matrix, indent=1, sort_keys=True) + "\n",
             "survival matrix",
         )
-    if args.output:
-        _write_artifact(args.output, result.rendered + "\n", "chaos summary")
-    else:
-        print(result.rendered)
-    if result.cancelled:
-        print(
-            f"chaos sweep cancelled — {len(result.records)}/{result.total} "
-            "trials completed; rerun with --resume to continue",
-            file=sys.stderr,
-        )
-        return 130
-    if not result.records:
-        return 3
-    return 4 if result.missed else 0
+    code = _finish_sweep(args, result, "chaos", "chaos sweep")
+    return 4 if code == 0 and result.missed else code
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -484,6 +476,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _job_spec_from_args(args: argparse.Namespace) -> dict:
+    execution = _execution(args)
     spec = {
         "kind": "chaos" if args.chaos else "campaign",
         "target": args.target,
@@ -491,26 +484,24 @@ def _job_spec_from_args(args: argparse.Namespace) -> dict:
         "seed_base": args.seed_base,
         "presets": list(args.preset) if args.preset else ["juno_r1"],
         "full": args.full,
-        "backend": args.backend,
-        "jobs": args.jobs,
-        "max_attempts": args.retries + 1,
+        "backend": execution.backend,
+        "jobs": execution.jobs,
+        "timeout": execution.timeout,
+        "max_attempts": execution.max_attempts,
+        "queue_dir": execution.queue_dir,
     }
-    if args.timeout > 0:
-        spec["timeout"] = args.timeout
-    if args.queue_dir:
-        spec["queue_dir"] = args.queue_dir
     if args.chaos:
         spec["plan"] = args.faults
         spec["fault_seed_base"] = args.fault_seed_base
-        if args.duration is not None:
-            spec["duration"] = args.duration
-    if getattr(args, "adaptive", False):
-        spec["adaptive"] = True
-        spec["ci_width"] = args.ci_width
-        if args.ci_quantity is not None:
-            spec["ci_quantity"] = args.ci_quantity
-        spec["min_seeds"] = args.min_seeds
-        spec["round_size"] = args.round_size
+        spec["duration"] = args.duration
+    if args.adaptive:
+        spec.update(
+            adaptive=True,
+            ci_width=args.ci_width,
+            ci_quantity=args.ci_quantity,
+            min_seeds=args.min_seeds,
+            round_size=args.round_size,
+        )
     return spec
 
 
@@ -691,6 +682,39 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
                              "(drained by `repro worker` processes)")
 
 
+def _add_adaptive_options(parser: argparse.ArgumentParser) -> None:
+    """The adaptive-planner options ``campaign`` and ``submit`` share."""
+    parser.add_argument("--adaptive", action="store_true",
+                        help="sequential-CI dispatch: stop consuming seeds "
+                             "per preset once the target CI width is met "
+                             "(needs --ci-width; --seeds is the budget)")
+    parser.add_argument("--ci-width", type=float, default=None, metavar="W",
+                        help="target 95%% confidence-interval width for "
+                             "--adaptive")
+    parser.add_argument("--ci-quantity", default=None, metavar="NAME",
+                        help="comparison quantity the CI tracks (default: "
+                             "first quantity with nonzero spread)")
+    parser.add_argument("--min-seeds", type=int, default=8, metavar="N",
+                        help="seeds per preset before the first stopping "
+                             "check (default 8)")
+    parser.add_argument("--round-size", type=int, default=4, metavar="N",
+                        help="seeds added per preset per round; doubled "
+                             "for solver-contested presets (default 4)")
+
+
+def _add_chaos_options(parser: argparse.ArgumentParser) -> None:
+    """The fault-plan options ``chaos`` and ``submit`` share."""
+    parser.add_argument("--faults", default="smoke", metavar="PLAN",
+                        help="fault plan name (default smoke; see "
+                             "repro.faults.plan)")
+    parser.add_argument("--fault-seed-base", type=int, default=0,
+                        help="offset added to each machine seed to derive its "
+                             "fault seed (default 0)")
+    parser.add_argument("--duration", type=float, default=None, metavar="S",
+                        help="injection horizon in simulated seconds "
+                             "(default: the plan's duration)")
+
+
 def _add_client_options(parser: argparse.ArgumentParser) -> None:
     from repro.service.client import DEFAULT_URL
 
@@ -731,22 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default juno_r1)")
     campaign.add_argument("-o", "--output",
                           help="write the campaign summary to a file")
-    campaign.add_argument("--adaptive", action="store_true",
-                          help="sequential-CI dispatch: stop consuming seeds "
-                               "per preset once the target CI width is met "
-                               "(needs --ci-width; --seeds is the budget)")
-    campaign.add_argument("--ci-width", type=float, default=None, metavar="W",
-                          help="target 95%% confidence-interval width for "
-                               "--adaptive")
-    campaign.add_argument("--ci-quantity", default=None, metavar="NAME",
-                          help="comparison quantity the CI tracks (default: "
-                               "first quantity with nonzero spread)")
-    campaign.add_argument("--min-seeds", type=int, default=8, metavar="N",
-                          help="seeds per preset before the first stopping "
-                               "check (default 8)")
-    campaign.add_argument("--round-size", type=int, default=4, metavar="N",
-                          help="seeds added per preset per round; doubled "
-                               "for solver-contested presets (default 4)")
+    _add_adaptive_options(campaign)
     _add_sweep_options(campaign)
 
     plan = sub.add_parser(
@@ -786,21 +795,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("scenario",
                        help="trace scenario to stress (figure4, baseline)")
-    chaos.add_argument("--faults", default="smoke", metavar="PLAN",
-                       help="fault plan name (default smoke; see "
-                            "repro.faults.plan)")
     chaos.add_argument("--seeds", type=int, default=8, metavar="N",
                        help="number of machine seeds (default 8)")
     chaos.add_argument("--seed-base", type=int, default=0,
                        help="first machine seed; trials use base..base+N-1")
-    chaos.add_argument("--fault-seed-base", type=int, default=0,
-                       help="offset added to each machine seed to derive its "
-                            "fault seed (default 0)")
     chaos.add_argument("--preset", default="juno_r1",
                        help="platform preset (default juno_r1)")
-    chaos.add_argument("--duration", type=float, default=None, metavar="S",
-                       help="injection horizon in simulated seconds "
-                            "(default: the plan's duration)")
+    _add_chaos_options(chaos)
     chaos.add_argument("--matrix", metavar="FILE",
                        help="write the survival matrix as JSON (CI artifact)")
     chaos.add_argument("-o", "--output",
@@ -960,25 +961,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default juno_r1)")
     submit.add_argument("--full", action="store_true",
                         help="paper-scale trials")
-    submit.add_argument("--faults", default="smoke", metavar="PLAN",
-                        help="fault plan for --chaos (default smoke)")
-    submit.add_argument("--fault-seed-base", type=int, default=0)
-    submit.add_argument("--duration", type=float, default=None, metavar="S",
-                        help="chaos injection horizon in simulated seconds")
+    _add_chaos_options(submit)
     submit.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker parallelism inside the service job")
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="per-trial timeout in seconds (0 disables)")
     submit.add_argument("--retries", type=int, default=1)
-    submit.add_argument("--adaptive", action="store_true",
-                        help="sequential-CI adaptive dispatch (campaign "
-                             "jobs; needs --ci-width)")
-    submit.add_argument("--ci-width", type=float, default=None, metavar="W",
-                        help="target 95%% CI width for --adaptive")
-    submit.add_argument("--ci-quantity", default=None, metavar="NAME",
-                        help="comparison quantity the CI tracks")
-    submit.add_argument("--min-seeds", type=int, default=8, metavar="N")
-    submit.add_argument("--round-size", type=int, default=4, metavar="N")
+    _add_adaptive_options(submit)
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job finishes and print its report")
     submit.add_argument("--wait-timeout", type=float, default=None, metavar="S",

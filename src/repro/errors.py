@@ -84,6 +84,11 @@ class BackpressureError(ServiceError):
         self.status = status
 
 
+class SettingsError(CampaignError, ServiceError):
+    """A sweep's execution or planner settings were out of range (one check
+    serves the library and the service, so it is both kinds of error)."""
+
+
 class FaultError(ReproError):
     """Base class for the fault-injection subsystem (:mod:`repro.faults`)."""
 

@@ -159,6 +159,7 @@ def _run_specs_parallel(
     """
     from repro.campaign.runner import TRIAL_FN
     from repro.service.executors import execute_tasks, make_executor
+    from repro.service.jobs import Execution
 
     tasks = [
         {
@@ -175,7 +176,7 @@ def _run_specs_parallel(
             state = "done" if outcome.ok else outcome.status
             progress(f"{task['experiment_id']}: {state}")
 
-    executor = make_executor("auto", jobs=jobs)
+    executor = make_executor(Execution(jobs=jobs))
     if progress is not None:
         progress(
             f"running {len(chosen)} experiments across {jobs or 1} worker(s) ..."

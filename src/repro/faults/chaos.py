@@ -24,18 +24,16 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.analysis.tables import render_table
 from repro.campaign.digest import CODE_VERSION, stable_digest
-from repro.campaign.runner import DEFAULT_CACHE_DIR, Observer, run_sweep
+from repro.campaign.runner import CampaignResult, Observer, Sweep, run_sweep
 from repro.config import DEFAULT_PRESET, preset_config
 from repro.errors import CampaignError, FaultInjectionError
 from repro.experiments.common import build_stack
 from repro.faults.injector import OUTCOMES, FaultInjector
 from repro.faults.plan import FaultPlan, plan_by_name
 from repro.hw.platform import trial_scope
-from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import use_registry
 from repro.obs.scenarios import scenario_by_name
-from repro.service.executors import DEFAULT_MAX_ATTEMPTS
-from repro.service.jobs import check_backend
+from repro.service.jobs import Execution
 
 #: Import path of the worker-side chaos trial function.
 CHAOS_TRIAL_FN = "repro.faults.chaos:run_chaos_trial"
@@ -45,10 +43,9 @@ CHAOS_TRIAL_FN = "repro.faults.chaos:run_chaos_trial"
 class ChaosSpec:
     """Everything that defines a chaos sweep.
 
-    Duck-types the :class:`~repro.campaign.runner.CampaignSpec` surface
-    (``trial_tasks``/``campaign_id``/``experiment_id``/``presets``/...)
-    that :func:`repro.obs.manifest.build_manifest` consumes, so chaos runs
-    write first-class campaign manifests.
+    :meth:`sweep` states what it shares with a campaign, so chaos runs go
+    through the same sweep machinery and write first-class campaign
+    manifests.
     """
 
     scenario: str
@@ -57,40 +54,19 @@ class ChaosSpec:
     fault_seed_base: int = 0
     preset: str = DEFAULT_PRESET
     duration: Optional[float] = None
-    jobs: int = 1
-    timeout: Optional[float] = None
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    cache_dir: str = DEFAULT_CACHE_DIR
-    resume: bool = False
-    full: bool = False  # manifest-surface compatibility; chaos has one scale
-    #: executor backend (same choices and semantics as CampaignSpec).
-    backend: str = "auto"
-    queue_dir: Optional[str] = None
+    execution: Execution = field(default_factory=Execution)
 
     def __post_init__(self) -> None:
         if not self.seeds:
             raise CampaignError("chaos sweep needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise CampaignError("chaos sweep seeds must be unique")
-        check_backend(self.backend, self.queue_dir)
         self.plan: FaultPlan = plan_by_name(self.plan_name)
-        # Fail fast on a scenario the trial function would reject anyway:
-        # without SATIN there is no degradation machinery to audit.
-        scenario = scenario_by_name(self.scenario)
-        if not scenario.with_satin:
-            raise FaultInjectionError(
-                f"scenario {scenario.name!r} runs without SATIN; chaos needs "
-                "the engine whose degradation is under test"
-            )
+        satin_scenario(self.scenario)  # fail fast on what the trial rejects
 
-    # --- CampaignSpec-compatible surface -------------------------------
     @property
     def experiment_id(self) -> str:
         return f"CHAOS-{self.scenario.upper()}"
-
-    @property
-    def presets(self) -> Sequence[str]:
-        return (self.preset,)
 
     def effective_duration(self) -> float:
         return self.duration if self.duration is not None else self.plan.duration
@@ -142,27 +118,26 @@ class ChaosSpec:
             )
         return tasks
 
+    def sweep(self) -> Sweep:
+        """The sweep over every seed: one preset, one (fast) scale."""
+        return Sweep(
+            experiment_id=self.experiment_id,
+            campaign_id=self.campaign_id(),
+            tasks=self.trial_tasks(),
+            seeds=list(self.seeds),
+            presets=(self.preset,),
+            full=False,
+            execution=self.execution,
+        )
+
 
 @dataclass
-class ChaosResult:
-    """Outcome of one chaos sweep (CampaignResult-compatible surface)."""
+class ChaosResult(CampaignResult):
+    """Outcome of one chaos sweep: a campaign result plus its survival."""
 
-    spec: ChaosSpec
-    total: int
-    records: List[Dict[str, Any]]
-    cached: int
-    ran: int
-    quarantined: List[Dict[str, Any]]
-    rendered: str
     #: aggregated survival matrix: ``{class: {injected, detected, ...}}``.
     survival: Dict[str, Dict[str, int]] = field(default_factory=dict)
     totals: Dict[str, int] = field(default_factory=dict)
-    manifest_path: Optional[str] = None
-    cancelled: bool = False
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        return self.cached / self.total if self.total else 0.0
 
     @property
     def missed(self) -> int:
@@ -172,6 +147,18 @@ class ChaosResult:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
+
+def satin_scenario(name: str):
+    """The named scenario, which must run SATIN: without it there is no
+    degradation machinery to audit."""
+    scenario = scenario_by_name(name)
+    if not scenario.with_satin:
+        raise FaultInjectionError(
+            f"scenario {scenario.name!r} runs without SATIN; chaos needs the "
+            "engine whose degradation is under test"
+        )
+    return scenario
+
 
 def run_chaos_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     """One seeded scenario run with fault injection; returns the record.
@@ -185,12 +172,7 @@ def run_chaos_trial(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     plan = plan_by_name(task["plan"])
     duration = float(task.get("duration") or plan.duration)
-    scenario = scenario_by_name(task["scenario"])
-    if not scenario.with_satin:
-        raise FaultInjectionError(
-            f"scenario {scenario.name!r} runs without SATIN; chaos needs the "
-            "engine whose degradation is under test"
-        )
+    scenario = satin_scenario(task["scenario"])
 
     with use_registry() as registry, trial_scope():
         config = preset_config(task["preset"], seed=int(task["seed"]))
@@ -370,12 +352,13 @@ def run_chaos(
     every backend (inline/fork/queue), the cache, cancellation and
     quarantine behave identically; only the survival aggregation differs.
     """
-    sweep = run_sweep(
-        spec, trial_fn,
+    sweep = spec.sweep()
+    run = run_sweep(
+        sweep, trial_fn,
         stream=stream, progress=progress,
         observer=observer, cancel_event=cancel_event,
     )
-    records = sweep.records
+    records = run.records
 
     matrix = empty_matrix(spec.plan)
     totals = {key: 0 for key in ("injected",) + OUTCOMES}
@@ -387,9 +370,9 @@ def run_chaos(
 
     rendered = render_chaos(
         spec, matrix, totals, records,
-        cached=sweep.cached, ran=sweep.ran, quarantined=sweep.quarantined,
+        cached=run.cached, ran=run.ran, quarantined=run.quarantined,
     )
-    if sweep.cancelled:
+    if run.cancelled:
         rendered = (
             f"!! chaos sweep cancelled — partial results "
             f"({len(records)}/{len(sweep.tasks)} trials)\n" + rendered
@@ -398,23 +381,15 @@ def run_chaos(
         spec=spec,
         total=len(sweep.tasks),
         records=records,
-        cached=sweep.cached,
-        ran=sweep.ran,
-        quarantined=sweep.quarantined,
+        cached=run.cached,
+        ran=run.ran,
+        quarantined=run.quarantined,
         rendered=rendered,
         survival=matrix,
         totals=totals,
-        cancelled=sweep.cancelled,
+        cancelled=run.cancelled,
     )
-    manifest = build_manifest(
-        spec,
-        result,
-        wall_seconds=sweep.wall_seconds,
-        supervisor_snapshot=sweep.supervisor.snapshot(),
-        cancelled=sweep.cancelled,
-        store_health=sweep.store_health,
-    )
-    manifest["survival"] = {
+    return run.finish(sweep, result, survival={
         "scenario": spec.scenario,
         "plan": spec.plan.name,
         "plan_digest": spec.plan.digest(),
@@ -425,6 +400,4 @@ def run_chaos(
             str(record["seed"]): record["payload"].get("event_checksum")
             for record in records
         },
-    }
-    result.manifest_path = write_manifest(sweep.store.directory, manifest)
-    return result
+    })

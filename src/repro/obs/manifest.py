@@ -32,7 +32,7 @@ MANIFEST_SCHEMA = "satin-campaign-manifest/v1"
 
 
 def build_manifest(
-    spec,
+    sweep,
     result,
     wall_seconds: float,
     supervisor_snapshot: Optional[Dict[str, Any]] = None,
@@ -42,10 +42,10 @@ def build_manifest(
 ) -> Dict[str, Any]:
     """Assemble the manifest for one finished campaign run.
 
-    ``spec``/``result`` are the campaign's
-    :class:`~repro.campaign.runner.CampaignSpec` and
-    :class:`~repro.campaign.runner.CampaignResult` (typed loosely to keep
-    this module import-light for the CLI's ``metrics`` command).
+    ``sweep``/``result`` are the run's
+    :class:`~repro.campaign.runner.Sweep` (the tasks that ran, and how)
+    and :class:`~repro.campaign.runner.CampaignResult` (typed loosely to
+    keep this module import-light for the CLI's ``metrics`` command).
     """
     from repro.campaign.digest import CODE_VERSION
 
@@ -53,57 +53,37 @@ def build_manifest(
     quarantined = {item["key"]: item for item in result.quarantined}
     trials: List[Dict[str, Any]] = []
     metric_snapshots: List[Dict[str, Any]] = []
-    for task in spec.trial_tasks():  # task order => deterministic merge
+    for task in sweep.tasks:  # task order => deterministic merge
         key = task["key"]
         record = by_key.get(key)
         if record is not None:
-            payload = record.get("payload", {})
-            trials.append(
-                {
-                    "seed": task["seed"],
-                    "preset": task["preset"],
-                    "status": "ok",
-                    "elapsed": record.get("elapsed", 0.0),
-                    "attempts": record.get("attempts", 1),
-                }
-            )
-            metric_snapshots.append(payload.get("metrics") or {})
+            status = "ok"
+            elapsed, attempts = record.get("elapsed", 0.0), record.get("attempts", 1)
+            metric_snapshots.append(record.get("payload", {}).get("metrics") or {})
         elif key in quarantined:
-            item = quarantined[key]
-            trials.append(
-                {
-                    "seed": task["seed"],
-                    "preset": task["preset"],
-                    "status": item.get("status", "failed"),
-                    "elapsed": 0.0,
-                    "attempts": item.get("attempts", 0),
-                }
-            )
+            status = quarantined[key].get("status", "failed")
+            elapsed, attempts = 0.0, quarantined[key].get("attempts", 0)
         else:
-            trials.append(
-                {
-                    "seed": task["seed"],
-                    "preset": task["preset"],
-                    "status": "missing",
-                    "elapsed": 0.0,
-                    "attempts": 0,
-                }
-            )
+            status, elapsed, attempts = "missing", 0.0, 0
+        trials.append({
+            "seed": task["seed"], "preset": task["preset"], "status": status,
+            "elapsed": elapsed, "attempts": attempts,
+        })
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
-        "campaign_id": spec.campaign_id(),
-        "experiment_id": spec.experiment_id.upper(),
+        "campaign_id": sweep.campaign_id,
+        "experiment_id": sweep.experiment_id,
         "code_version": CODE_VERSION,
         "cancelled": cancelled,
         "generated_unix": time.time(),
         "spec": {
-            "seeds": len(spec.seeds),
-            "seed_range": [min(spec.seeds), max(spec.seeds)],
-            "presets": list(spec.presets),
-            "full": spec.full,
-            "jobs": spec.jobs,
-            "timeout": spec.timeout,
-            "max_attempts": spec.max_attempts,
+            "seeds": len(sweep.seeds),
+            "seed_range": [min(sweep.seeds), max(sweep.seeds)],
+            "presets": list(sweep.presets),
+            "full": sweep.full,
+            "jobs": sweep.execution.jobs,
+            "timeout": sweep.execution.timeout,
+            "max_attempts": sweep.execution.max_attempts,
         },
         "totals": {
             "trials": result.total,

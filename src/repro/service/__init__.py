@@ -8,8 +8,9 @@ The service layer turns campaigns from a function call into a substrate:
   supervision loop :func:`execute_tasks`;
 * :mod:`repro.service.queue` — the on-disk queue protocol behind
   ``python -m repro worker --queue DIR``;
-* :mod:`repro.service.jobs` — :class:`JobSpec`/:class:`JobState`
-  shared by the CLI and the HTTP service;
+* :mod:`repro.service.jobs` — the :class:`Execution` settings every
+  sweep runs with, and :class:`JobSpec`/:class:`JobState` shared by the
+  CLI and the HTTP service;
 * :mod:`repro.service.server` — ``python -m repro serve``, a stdlib
   HTTP/JSON job service memoised through the content-addressed store;
 * :mod:`repro.service.client` — the ``repro submit/status/fetch/cancel``
@@ -31,6 +32,7 @@ __getattr__, __dir__ = attach(__name__, {
     "InlineExecutor": "repro.service.executors",
     "execute_tasks": "repro.service.executors",
     "make_executor": "repro.service.executors",
+    "Execution": "repro.service.jobs",
     "JobSpec": "repro.service.jobs",
     "JobState": "repro.service.jobs",
     "JOB_STATES": "repro.service.jobs",
@@ -43,6 +45,7 @@ __getattr__, __dir__ = attach(__name__, {
 __all__ = [
     "BACKENDS",
     "ExecMessage",
+    "Execution",
     "Executor",
     "FileQueueExecutor",
     "ForkExecutor",

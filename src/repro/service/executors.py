@@ -48,13 +48,10 @@ from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CampaignError, ServiceError
-from repro.service.jobs import check_backend
+from repro.service.jobs import DEFAULT_MAX_ATTEMPTS, Execution
 
 #: Supervision loop poll granularity, seconds.
 _POLL_INTERVAL = 0.05
-
-#: Default attempts per trial: the first run plus one retry.
-DEFAULT_MAX_ATTEMPTS = 2
 
 #: Respawn backoff: first cooldown after a kill, and the exponential cap.
 #: A worker dying repeatedly (OOM storm, broken native dep) must not be
@@ -547,29 +544,23 @@ def execute_tasks(
     return outcomes, cancelled
 
 
-def make_executor(
-    backend: str = "auto",
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    metrics: Optional[Any] = None,
-    queue_dir: Optional[str] = None,
-) -> Executor:
-    """Build the executor for a backend name.
+def make_executor(execution: Execution, metrics: Optional[Any] = None) -> Executor:
+    """Build the executor an :class:`~repro.service.jobs.Execution` names.
 
-    The name and the queue directory pass
-    :func:`~repro.service.jobs.check_backend` first.  ``auto`` preserves the historical CLI semantics: ``jobs == 0`` means
-    serial in-process, anything else the fork pool.  Negative ``jobs`` is
-    rejected for every backend.
+    ``auto`` preserves the historical CLI semantics: ``jobs == 0`` means
+    serial in-process, anything else the fork pool.
     """
-    if jobs < 0:
-        raise CampaignError(f"jobs must be >= 0, got {jobs}")
-    check_backend(backend, queue_dir)
+    backend = execution.backend
     if backend == "auto":
-        backend = "inline" if jobs == 0 else "fork"
+        backend = "inline" if execution.jobs == 0 else "fork"
     if backend == "inline":
         return InlineExecutor()
     if backend == "fork":
-        return ForkExecutor(jobs=max(1, jobs), timeout=timeout, metrics=metrics)
+        return ForkExecutor(
+            jobs=max(1, execution.jobs), timeout=execution.timeout, metrics=metrics
+        )
     from repro.service.queue import FileQueueExecutor
 
-    return FileQueueExecutor(queue_dir, timeout=timeout, metrics=metrics)
+    return FileQueueExecutor(
+        execution.queue_dir, timeout=execution.timeout, metrics=metrics
+    )

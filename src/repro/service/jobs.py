@@ -1,11 +1,14 @@
 """Job specifications and lifecycle state shared by the CLI and the service.
 
+An :class:`Execution` is the *how* of any sweep (workers, timeout,
+attempts, cache, resume, backend), checked once when it is built.
+
 A :class:`JobSpec` is the *what* of a submission — campaign or chaos
 sweep, target, seed range, presets/plan, SATIN overrides — and digests to
 a content address (:meth:`JobSpec.config_digest`) that deliberately
 excludes the execution substrate (backend, worker count, timeout), so two
 users asking for the same parameter point share one cache entry no matter
-how their jobs run.
+how their jobs run.  Its JSON stays flat, so older journals replay.
 
 A :class:`JobState` is the *where it is*: the state machine
 
@@ -16,10 +19,6 @@ with timestamps, progress counters and the result summary.  Invalid
 transitions raise :class:`~repro.errors.JobTransitionError`.  Both types
 round-trip through JSON (``to_json``/``from_json``) because the service
 persists them as job-scoped artifacts beside the result store.
-
-:func:`check_backend` is the one check of an executor backend name and
-its queue directory; the service's submissions, the campaign and chaos
-specs and :func:`~repro.service.executors.make_executor` all use it.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Any, Dict, List, Optional
 
 from repro.campaign.digest import CODE_VERSION, stable_digest
-from repro.errors import JobTransitionError, ServiceError
+from repro.campaign.store import DEFAULT_CACHE_DIR
+from repro.errors import JobTransitionError, ServiceError, SettingsError
 
 #: Where ``repro serve`` listens and the client commands connect by default.
 DEFAULT_HOST = "127.0.0.1"
@@ -56,15 +57,63 @@ _TRANSITIONS: Dict[str, frozenset] = {
 }
 
 
-def check_backend(backend: str, queue_dir: Optional[str]) -> None:
-    """Reject an unknown backend name, and a queue backend with no directory."""
-    if backend != "auto" and backend not in BACKENDS:
-        raise ServiceError(
-            f"unknown executor backend {backend!r} "
-            f"(choose from auto, {', '.join(BACKENDS)})"
+#: Default attempts per trial: the first run plus one retry.
+DEFAULT_MAX_ATTEMPTS = 2
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_positive(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and value > 0
+
+
+@dataclass(frozen=True)
+class Execution:
+    """How a sweep runs; no field feeds a ``campaign_id`` or job digest.
+
+    ``backend`` is ``"auto"`` (``jobs == 0`` -> inline, else fork),
+    ``"inline"``, ``"fork"`` or ``"queue"`` (``repro worker`` processes
+    drain ``queue_dir``).
+    """
+
+    jobs: int = 1
+    timeout: Optional[float] = None
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    cache_dir: str = DEFAULT_CACHE_DIR
+    resume: bool = False
+    backend: str = "auto"
+    queue_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.jobs):
+            raise SettingsError(f"jobs must be an int, got {self.jobs!r}")
+        if self.jobs < 0:
+            raise SettingsError(f"jobs must be >= 0, got {self.jobs}")
+        if not _is_int(self.max_attempts) or self.max_attempts < 1:
+            raise SettingsError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
+        if self.timeout is not None and not _is_positive(self.timeout):
+            raise SettingsError(f"timeout must be None or > 0, got {self.timeout!r}")
+        if self.backend != "auto" and self.backend not in BACKENDS:
+            raise SettingsError(
+                f"unknown executor backend {self.backend!r} "
+                f"(choose from auto, {', '.join(BACKENDS)})"
+            )
+        if self.backend == "queue" and not self.queue_dir:
+            raise SettingsError("queue backend needs a queue directory")
+
+
+def check_planner(ci_width: Optional[float], min_seeds: int, round_size: int) -> None:
+    """The one check of the adaptive planner's settings."""
+    if not _is_positive(ci_width):
+        raise SettingsError(
+            f"adaptive dispatch needs --ci-width (ci_width) > 0, got {ci_width!r}"
         )
-    if backend == "queue" and not queue_dir:
-        raise ServiceError("queue backend needs a queue directory")
+    if not _is_int(min_seeds) or min_seeds < 2:
+        raise SettingsError(f"adaptive min_seeds must be >= 2, got {min_seeds!r}")
+    if not _is_int(round_size) or round_size < 1:
+        raise SettingsError(f"adaptive round_size must be >= 1, got {round_size!r}")
 
 
 @dataclass
@@ -74,7 +123,8 @@ class JobSpec:
     ``kind`` is ``"campaign"`` (``target`` = experiment id, e.g. ``E9``)
     or ``"chaos"`` (``target`` = scenario name, with ``plan`` naming the
     fault plan).  Result-determining fields feed the digest; execution
-    fields (``backend``/``jobs``/``timeout``/``max_attempts``) do not.
+    fields (``backend``/``jobs``/``timeout``/``max_attempts``/``queue_dir``)
+    do not; :meth:`execution` gathers them.
     """
 
     kind: str
@@ -99,7 +149,7 @@ class JobSpec:
     backend: str = "auto"
     jobs: int = 1
     timeout: Optional[float] = None
-    max_attempts: int = 2
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
     queue_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -116,8 +166,25 @@ class JobSpec:
         if self.adaptive:
             if self.kind != "campaign":
                 raise ServiceError("adaptive dispatch is campaign-only")
-            if self.ci_width is None or self.ci_width <= 0:
-                raise ServiceError("adaptive job needs ci_width > 0")
+            check_planner(self.ci_width, self.min_seeds, self.round_size)
+
+    def execution(self, cache_dir: str = DEFAULT_CACHE_DIR) -> Execution:
+        """How the job runs: its execution fields, resuming from ``cache_dir``."""
+        return Execution(
+            jobs=self.jobs,
+            timeout=self.timeout,
+            max_attempts=self.max_attempts,
+            cache_dir=cache_dir,
+            resume=True,
+            backend=self.backend,
+            queue_dir=self.queue_dir,
+        )
+
+    def check_submission(self) -> None:
+        """The checks a new submission passes and journal replay skips."""
+        self.execution()
+        if self.kind == "chaos" and len(self.presets) > 1:
+            raise ServiceError(f"a chaos job runs one preset, got {len(self.presets)}")
 
     def seed_list(self) -> List[int]:
         return [self.seed_base + i for i in range(self.seeds)]
@@ -157,15 +224,7 @@ class JobSpec:
 
     def to_run_spec(self, cache_dir: str):
         """The campaign/chaos spec this job executes, resuming from cache."""
-        execution = dict(
-            jobs=self.jobs,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            cache_dir=cache_dir,
-            resume=True,
-            backend=self.backend,
-            queue_dir=self.queue_dir,
-        )
+        execution = self.execution(cache_dir)
         if self.kind == "campaign":
             from repro.campaign.runner import CampaignSpec
 
@@ -175,12 +234,12 @@ class JobSpec:
                 full=self.full,
                 presets=tuple(self.presets),
                 satin=dict(self.satin) if self.satin else None,
+                execution=execution,
                 adaptive=self.adaptive,
                 ci_width=self.ci_width,
                 ci_quantity=self.ci_quantity,
                 min_seeds=self.min_seeds,
                 round_size=self.round_size,
-                **execution,
             )
         from repro.faults.chaos import ChaosSpec
 
@@ -191,7 +250,7 @@ class JobSpec:
             fault_seed_base=self.fault_seed_base,
             preset=self.presets[0],
             duration=self.duration,
-            **execution,
+            execution=execution,
         )
 
     def to_json(self) -> Dict[str, Any]:

@@ -63,13 +63,7 @@ from repro.errors import (
 from repro.obs.manifest import manifest_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.service.jobs import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    JobSpec,
-    JobState,
-    check_backend,
-)
+from repro.service.jobs import DEFAULT_HOST, DEFAULT_PORT, JobSpec, JobState
 from repro.service.journal import DEFAULT_COMPACT_EVERY, JobJournal
 
 #: Per-job event-log cap: older events are dropped from memory, but event
@@ -199,7 +193,7 @@ class JobManager:
         accepted job is never dropped, a rejected one is never queued.
         """
         spec = JobSpec.from_json(payload)
-        check_backend(spec.backend, spec.queue_dir)
+        spec.check_submission()
         digest = spec.config_digest()
         with self._lock:
             if self._draining:

@@ -14,6 +14,7 @@ from repro.analysis.planning.planner import select_quantity
 from repro.campaign.runner import CampaignSpec, run_campaign
 from repro.errors import CampaignError
 from repro.obs.manifest import load_manifest, manifest_fingerprint, render_manifest
+from repro.service.jobs import Execution
 
 HELPERS = "tests.campaign.pool_helpers"
 
@@ -25,17 +26,19 @@ E1_TARGET_WIDTH = 1.2e-10
 
 
 def run_adaptive(tmp_path, label, seeds=range(12), ci_width=E1_TARGET_WIDTH,
-                 experiment_id="E1", trial_fn=None, **kwargs):
-    kwargs.setdefault("jobs", 0)
-    kwargs.setdefault("cache_dir", str(tmp_path / f"cache-{label}"))
+                 experiment_id="E1", trial_fn=None, ci_quantity=None,
+                 min_seeds=4, round_size=2, **execution):
+    execution.setdefault("jobs", 0)
+    execution.setdefault("cache_dir", str(tmp_path / f"cache-{label}"))
     spec = CampaignSpec(
         experiment_id=experiment_id,
         seeds=list(seeds),
         adaptive=True,
         ci_width=ci_width,
-        min_seeds=kwargs.pop("min_seeds", 4),
-        round_size=kwargs.pop("round_size", 2),
-        **kwargs,
+        ci_quantity=ci_quantity,
+        min_seeds=min_seeds,
+        round_size=round_size,
+        execution=Execution(**execution),
     )
     extra = {} if trial_fn is None else {"trial_fn": trial_fn}
     result = run_campaign(spec, progress=False, **extra)
@@ -105,8 +108,7 @@ def test_adaptive_matches_fixed_run_over_consumed_prefix(tmp_path):
     fixed_spec = CampaignSpec(
         experiment_id="E1",
         seeds=consumed,
-        jobs=0,
-        cache_dir=str(tmp_path / "cache-fixed"),
+        execution=Execution(jobs=0, cache_dir=str(tmp_path / "cache-fixed")),
     )
     fixed = load_manifest(run_campaign(fixed_spec, progress=False).manifest_path)
     assert manifest_fingerprint(fixed) == manifest_fingerprint(adaptive)
@@ -118,8 +120,7 @@ def test_adaptive_shares_the_fixed_runs_cache(tmp_path):
     fixed_spec = CampaignSpec(
         experiment_id="E1",
         seeds=list(range(12)),
-        jobs=0,
-        cache_dir=str(tmp_path / "shared"),
+        execution=Execution(jobs=0, cache_dir=str(tmp_path / "shared")),
     )
     run_campaign(fixed_spec, progress=False)
     result, _ = run_adaptive(

@@ -11,16 +11,16 @@ import threading
 from repro.campaign.runner import CampaignSpec, run_campaign
 from repro.campaign.store import ResultStore
 from repro.obs.manifest import load_manifest
+from repro.service.jobs import Execution
 
 HELPERS = "tests.campaign.pool_helpers"
 
 
-def spec_for(tmp_path, **kwargs):
+def spec_for(tmp_path, jobs=0, resume=False, **kwargs):
     defaults = dict(
         experiment_id="E7",
         seeds=[1, 2, 3, 4],
-        jobs=0,
-        cache_dir=str(tmp_path),
+        execution=Execution(jobs=jobs, resume=resume, cache_dir=str(tmp_path)),
     )
     defaults.update(kwargs)
     return CampaignSpec(**defaults)
@@ -49,7 +49,7 @@ def test_interrupted_run_resumes_from_flushed_shards(tmp_path):
         spec, progress=False, trial_fn=f"{HELPERS}:interrupt_at_seed_3"
     )
     # the two completed trials were flushed before the interrupt
-    store = ResultStore(spec.cache_dir, spec.campaign_id())
+    store = ResultStore(spec.execution.cache_dir, spec.campaign_id())
     store.load()
     assert sum(1 for t in spec.trial_tasks() if store.ok_record(t["key"])) == 2
 

@@ -2,7 +2,7 @@
 isolation, retry, inline mode and respawn backoff.
 
 Every test drives :func:`~repro.service.executors.execute_tasks` over the
-executor ``make_executor("auto", jobs=...)`` picks — the fork pool, or
+executor ``make_executor(Execution(jobs=...))`` picks — the fork pool, or
 inline when ``jobs == 0`` — the same path campaigns and the report use.
 """
 
@@ -18,6 +18,7 @@ from repro.service.executors import (
     make_executor,
     resolve_function,
 )
+from repro.service.jobs import Execution
 
 HELPERS = "tests.campaign.pool_helpers"
 
@@ -27,7 +28,7 @@ def run(tasks, fn, jobs=1, timeout=None, metrics=None, **kwargs):
     outcomes, cancelled = execute_tasks(
         tasks,
         f"{HELPERS}:{fn}",
-        make_executor("auto", jobs=jobs, timeout=timeout, metrics=metrics),
+        make_executor(Execution(jobs=jobs, timeout=timeout), metrics=metrics),
         **kwargs,
     )
     assert not cancelled
@@ -145,7 +146,7 @@ def test_inline_mode_retries_and_reports(tmp_path):
 def test_invalid_arguments():
     for backend in ("auto", "inline", "fork", "queue"):
         with pytest.raises(CampaignError, match="jobs must be >= 0"):
-            make_executor(backend, jobs=-1)
+            Execution(backend=backend, jobs=-1, queue_dir="q")
     with pytest.raises(CampaignError):
         run([{"key": "a"}], "double_seed", max_attempts=0)
 

@@ -10,16 +10,18 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.errors import CampaignError
+from repro.service.jobs import Execution
 
 HELPERS = "tests.campaign.pool_helpers"
 
 
-def spec_for(tmp_path, **kwargs):
+def spec_for(tmp_path, jobs=0, timeout=None, resume=False, **kwargs):
     defaults = dict(
         experiment_id="E7",
         seeds=[1, 2, 3, 4],
-        jobs=0,
-        cache_dir=str(tmp_path),
+        execution=Execution(
+            jobs=jobs, timeout=timeout, resume=resume, cache_dir=str(tmp_path)
+        ),
     )
     defaults.update(kwargs)
     return CampaignSpec(**defaults)
@@ -120,7 +122,7 @@ def test_timeout_quarantine_does_not_abort_campaign(tmp_path):
     # the failure is also listed in the persistent quarantine log
     from repro.campaign.store import ResultStore
 
-    store = ResultStore(spec.cache_dir, spec.campaign_id())
+    store = ResultStore(spec.execution.cache_dir, spec.campaign_id())
     assert len(store.quarantined()) == 1
 
 

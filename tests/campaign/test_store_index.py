@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign.runner import CampaignSpec, run_campaign
 from repro.campaign.store import INDEX_SCHEMA, ResultStore, campaign_dirs
+from repro.service.jobs import Execution
 
 
 def make_store(tmp_path, campaign_id="E7-test"):
@@ -52,7 +53,8 @@ def test_indexed_reopen_reads_without_full_scan(tmp_path):
 
 def test_warm_campaign_resume_performs_no_full_scan(tmp_path):
     spec = CampaignSpec(
-        "E7", seeds=[1, 2, 3], jobs=0, cache_dir=str(tmp_path), resume=True
+        "E7", seeds=[1, 2, 3],
+        execution=Execution(jobs=0, cache_dir=str(tmp_path), resume=True),
     )
     first = run_campaign(spec, progress=False)
     assert first.ran == 3

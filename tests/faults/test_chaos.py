@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import CampaignError, FaultInjectionError, FaultPlanError
 from repro.faults.chaos import ChaosSpec, run_chaos, run_chaos_trial
+from repro.service.jobs import Execution
 
 #: Short injection horizon: enough simulated time for several faults of
 #: every class without slowing the suite down.
@@ -65,7 +66,7 @@ def test_spec_validation():
 def test_spec_surface():
     spec = ChaosSpec(scenario="figure4", seeds=[0, 1], duration=15.0)
     assert spec.experiment_id == "CHAOS-FIGURE4"
-    assert spec.presets == (spec.preset,)
+    assert spec.sweep().presets == (spec.preset,)
     assert spec.effective_duration() == 15.0
     assert spec.campaign_id().startswith("CHAOS-FIGURE4-")
     assert spec.fault_seed_for(3) == 3
@@ -83,8 +84,9 @@ def test_jobs_level_does_not_change_results(tmp_path):
             scenario="figure4",
             seeds=[0, 1],
             duration=_FAST_DURATION,
-            jobs=jobs,
-            cache_dir=str(tmp_path / f"cache-jobs{jobs}"),
+            execution=Execution(
+                jobs=jobs, cache_dir=str(tmp_path / f"cache-jobs{jobs}")
+            ),
         )
         results.append(run_chaos(spec, progress=False))
     serial, parallel = results
@@ -102,8 +104,7 @@ def test_manifest_carries_survival_section(tmp_path):
         scenario="baseline",
         seeds=[0],
         duration=_FAST_DURATION,
-        jobs=0,
-        cache_dir=str(tmp_path),
+        execution=Execution(jobs=0, cache_dir=str(tmp_path)),
     )
     result = run_chaos(spec, progress=False)
     assert result.manifest_path is not None
@@ -124,15 +125,18 @@ def test_manifest_carries_survival_section(tmp_path):
 
 
 def test_resume_serves_cached_chaos_trials(tmp_path):
-    spec_kwargs = dict(
-        scenario="baseline",
-        seeds=[0],
-        duration=_FAST_DURATION,
-        jobs=0,
-        cache_dir=str(tmp_path),
+    spec_kwargs = dict(scenario="baseline", seeds=[0], duration=_FAST_DURATION)
+    cold = run_chaos(
+        ChaosSpec(**spec_kwargs, execution=Execution(jobs=0, cache_dir=str(tmp_path))),
+        progress=False,
     )
-    cold = run_chaos(ChaosSpec(**spec_kwargs), progress=False)
-    warm = run_chaos(ChaosSpec(resume=True, **spec_kwargs), progress=False)
+    warm = run_chaos(
+        ChaosSpec(
+            **spec_kwargs,
+            execution=Execution(jobs=0, cache_dir=str(tmp_path), resume=True),
+        ),
+        progress=False,
+    )
     assert cold.ran == 1 and cold.cached == 0
     assert warm.ran == 0 and warm.cached == 1
     assert warm.survival == cold.survival

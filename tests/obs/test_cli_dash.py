@@ -6,11 +6,14 @@ import os
 from repro.campaign.runner import CampaignSpec, run_campaign
 from repro.campaign.store import ResultStore
 from repro.cli import main
+from repro.service.jobs import Execution
 
 
 def run_small(tmp_path, experiment="E7", seeds=(1, 2)):
     cache = str(tmp_path / "cache")
-    spec = CampaignSpec(experiment, seeds=list(seeds), jobs=0, cache_dir=cache)
+    spec = CampaignSpec(
+        experiment, seeds=list(seeds), execution=Execution(jobs=0, cache_dir=cache)
+    )
     run_campaign(spec, progress=False)
     return cache, os.path.join(cache, spec.campaign_id())
 

@@ -24,12 +24,13 @@ from repro.obs.scenarios import (
     scenario_records,
 )
 from repro.obs.trace_export import machine_core_labels, perfetto_trace
+from repro.service.jobs import Execution
 
 
 def run_e7(tmp_path, name, jobs=0, seeds=(1, 2, 3)):
     cache = os.path.join(str(tmp_path), name)
     spec = CampaignSpec(
-        "E7", seeds=list(seeds), jobs=jobs, cache_dir=cache
+        "E7", seeds=list(seeds), execution=Execution(jobs=jobs, cache_dir=cache)
     )
     result = run_campaign(spec, progress=False)
     return os.path.join(cache, spec.campaign_id()), result
@@ -37,7 +38,9 @@ def run_e7(tmp_path, name, jobs=0, seeds=(1, 2, 3)):
 
 def run_e9(base, name, jobs=0, seeds=(1, 2)):
     cache = os.path.join(str(base), name)
-    spec = CampaignSpec("E9", seeds=list(seeds), jobs=jobs, cache_dir=cache)
+    spec = CampaignSpec(
+        "E9", seeds=list(seeds), execution=Execution(jobs=jobs, cache_dir=cache)
+    )
     run_campaign(spec, progress=False)
     return os.path.join(cache, spec.campaign_id())
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.errors import ObservabilityError
+from repro.service.jobs import Execution
 from repro.obs.manifest import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA,
@@ -20,15 +21,12 @@ from repro.obs.manifest import (
 )
 
 
-def small_spec(tmp_path, jobs=0, seeds=(0, 1), **overrides):
-    params = dict(
+def small_spec(tmp_path, jobs=0, seeds=(0, 1), resume=False):
+    return CampaignSpec(
         experiment_id="E1",
         seeds=list(seeds),
-        jobs=jobs,
-        cache_dir=str(tmp_path),
+        execution=Execution(jobs=jobs, cache_dir=str(tmp_path), resume=resume),
     )
-    params.update(overrides)
-    return CampaignSpec(**params)
 
 
 def test_run_campaign_writes_manifest(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign.runner import CampaignSpec, run_campaign
 from repro.obs.manifest import load_manifest, manifest_fingerprint
+from repro.service.jobs import Execution
 
 #: Every backend must match the first entry (serial in-process) exactly.
 BACKEND_MATRIX = [
@@ -31,8 +32,7 @@ def run_backend(tmp_path, name, overrides, queue_worker):
     spec = CampaignSpec(
         experiment_id="E9",
         seeds=list(range(8)),
-        cache_dir=str(tmp_path / f"cache-{name}"),
-        **kwargs,
+        execution=Execution(cache_dir=str(tmp_path / f"cache-{name}"), **kwargs),
     )
     return run_campaign(spec, progress=False)
 
@@ -73,12 +73,10 @@ def test_fork_and_inline_agree_on_cheap_campaign(tmp_path):
     """Fast (tier-1 default) slice of the golden contract: E7, 4 seeds."""
     fingerprints = []
     for name, overrides in (BACKEND_MATRIX[0], BACKEND_MATRIX[1]):
-        kwargs = dict(overrides)
         spec = CampaignSpec(
             experiment_id="E7",
             seeds=[1, 2, 3, 4],
-            cache_dir=str(tmp_path / f"cache-{name}"),
-            **kwargs,
+            execution=Execution(cache_dir=str(tmp_path / f"cache-{name}"), **overrides),
         )
         result = run_campaign(spec, progress=False)
         fingerprints.append(manifest_fingerprint(load_manifest(result.manifest_path)))

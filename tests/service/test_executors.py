@@ -12,6 +12,7 @@ from repro.service.executors import (
     execute_tasks,
     make_executor,
 )
+from repro.service.jobs import Execution
 from repro.service.queue import FileQueueExecutor
 
 HELPERS = "tests.campaign.pool_helpers"
@@ -189,21 +190,23 @@ class TestSupervisionLoop:
 
 class TestMakeExecutor:
     def test_auto_resolution(self):
-        assert make_executor("auto", jobs=0).name == "inline"
-        assert make_executor("auto", jobs=2).name == "fork"
+        assert make_executor(Execution(jobs=0)).name == "inline"
+        assert make_executor(Execution(jobs=2)).name == "fork"
 
     def test_explicit_backends(self, tmp_path):
-        assert make_executor("inline").name == "inline"
-        assert make_executor("fork", jobs=2).name == "fork"
-        queue_exec = make_executor("queue", queue_dir=str(tmp_path / "q"))
+        assert make_executor(Execution(backend="inline")).name == "inline"
+        assert make_executor(Execution(backend="fork", jobs=2)).name == "fork"
+        queue_exec = make_executor(
+            Execution(backend="queue", queue_dir=str(tmp_path / "q"))
+        )
         assert isinstance(queue_exec, FileQueueExecutor)
 
     def test_queue_requires_directory(self):
         with pytest.raises(ServiceError, match="queue directory"):
-            make_executor("queue")
+            Execution(backend="queue")
 
     def test_unknown_backend(self):
         with pytest.raises(ServiceError, match="unknown executor backend"):
-            make_executor("carrier-pigeon")
+            Execution(backend="carrier-pigeon")
         with pytest.raises(ServiceError, match="unknown executor backend 'thread'"):
-            make_executor("thread", jobs=2)
+            Execution(backend="thread", jobs=2)

@@ -108,8 +108,8 @@ class TestJobSpec:
 
     def test_to_run_spec_resumes_from_cache(self, tmp_path):
         run = spec_for(seeds=2).to_run_spec(str(tmp_path))
-        assert run.resume is True
-        assert run.cache_dir == str(tmp_path)
+        assert run.execution.resume is True
+        assert run.execution.cache_dir == str(tmp_path)
         assert run.seeds == [0, 1]
 
     def test_to_run_spec_chaos(self, tmp_path):
@@ -117,7 +117,7 @@ class TestJobSpec:
             str(tmp_path)
         )
         assert run.scenario == "figure4"
-        assert run.resume is True
+        assert run.execution.resume is True
 
 
 class TestJobState:

@@ -360,6 +360,77 @@ class TestLegacyJournal:
             manager.shutdown()
 
 
+# ---------------------------------------------------------------------------
+# Journals written before execution settings became one value
+# ---------------------------------------------------------------------------
+
+#: Verbatim journal lines from the previous release (only the manifest
+#: path is shortened): a finished chaos job and an adaptive job still
+#: pending when the service stopped.
+PREVIOUS_CHAOS_DONE_LINE = (
+    '{"job": {"created_unix": 1792431079.140751, "digest": '
+    '"68debb434f9f69cf", "error": null, "finished_unix": '
+    '1792431079.5831065, "job_id": "job-0001-68debb43", '
+    '"manifest_path": "CHAOS-FIGURE4-3dc5b98b2248/manifest.json", '
+    '"progress": {"cached": 0, "done": 1, "failed": 0, "retried": 0, '
+    '"total": 1}, "recoveries": 0, "result": {"cached": 0, '
+    '"campaign_id": "CHAOS-FIGURE4-3dc5b98b2248", "fingerprint_sha256":'
+    ' "a68fee9c20d4b57ced4da63c4cc3600ebcf80e280522566ba7ad3ba0f265e7a9'
+    '", "pure_cache_hit": false, "quarantined": 0, "ran": 1, "records":'
+    ' 1, "survival_totals": {"degraded": 8, "detected": 2, "injected": '
+    '10, "missed": 0}, "total": 1}, "spec": {"adaptive": false, '
+    '"backend": "inline", "ci_quantity": null, "ci_width": null, '
+    '"duration": 15.0, "fault_seed_base": 0, "full": false, "jobs": 0, '
+    '"kind": "chaos", "max_attempts": 2, "min_seeds": 8, "plan": '
+    '"smoke", "presets": ["juno_r1"], "queue_dir": null, "round_size": '
+    '4, "satin": null, "seed_base": 0, "seeds": 1, "target": "figure4",'
+    ' "timeout": null}, "started_unix": 1792431079.141662, "state": '
+    '"done"}, "v": 1}'
+)
+
+PREVIOUS_ADAPTIVE_PENDING_LINE = (
+    '{"job": {"created_unix": 1792431079.596334, "digest": '
+    '"f74ff779f6b49a0e", "error": null, "finished_unix": null, '
+    '"job_id": "job-0002-f74ff779", "manifest_path": null, "progress": '
+    '{"cached": 0, "done": 0, "failed": 0, "retried": 0, "total": 3}, '
+    '"recoveries": 0, "result": null, "spec": {"adaptive": true, '
+    '"backend": "auto", "ci_quantity": null, "ci_width": 1000000000.0, '
+    '"duration": null, "fault_seed_base": 0, "full": false, "jobs": 0, '
+    '"kind": "campaign", "max_attempts": 2, "min_seeds": 2, "plan": '
+    '"smoke", "presets": ["juno_r1"], "queue_dir": null, "round_size": '
+    '1, "satin": null, "seed_base": 0, "seeds": 3, "target": "E7", '
+    '"timeout": null}, "started_unix": null, "state": "pending"}, "v": '
+    '1}'
+)
+
+
+class TestPreviousReleaseJournal:
+    def test_done_chaos_job_restored_verbatim(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        write_journal(cache, PREVIOUS_CHAOS_DONE_LINE)
+        manager = frozen_manager(cache)
+        expected = json.loads(PREVIOUS_CHAOS_DONE_LINE)["job"]
+        assert manager.get(expected["job_id"]).to_json() == expected
+
+    def test_pending_adaptive_job_reruns_to_the_same_fingerprint(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        write_journal(cache, PREVIOUS_ADAPTIVE_PENDING_LINE)
+        manager = JobManager(cache_dir=cache, max_workers=1)
+        try:
+            job_id = json.loads(PREVIOUS_ADAPTIVE_PENDING_LINE)["job"]["job_id"]
+            job = manager.get(job_id)
+            deadline = time.monotonic() + 60
+            while not job.terminal and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert job.state == "done" and job.recoveries == 1
+            # the fingerprint the previous release recorded for this job
+            assert job.result["fingerprint_sha256"] == (
+                "499cd117fa1cc9f5b63e854860301e15b3f48096f3ac0c02777eecd14a0af6b2"
+            )
+        finally:
+            manager.shutdown()
+
+
 class TestJournalBeforeVisibility:
     def test_a_new_state_is_journaled_before_it_is_visible(
         self, tmp_path, monkeypatch

@@ -242,6 +242,47 @@ class TestHttpApi:
         assert status == 409
 
 
+
+class TestSubmitValidation:
+    """A submission is checked before it is queued: a bad setting is a
+    400 and never becomes a job that fails at run time."""
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"jobs": -1}, "jobs must be >= 0"),
+        ({"jobs": "2"}, "jobs must be an int"),
+        ({"max_attempts": 0}, "max_attempts"),
+        ({"adaptive": True, "ci_width": 1.0, "min_seeds": 1}, "min_seeds"),
+        ({"adaptive": True, "ci_width": 1.0, "round_size": 0}, "round_size"),
+        ({"kind": "chaos", "target": "figure4",
+          "presets": ["juno_r1", "generic_octa"]}, "one preset"),
+    ], ids=["negative-jobs", "string-jobs", "zero-attempts", "min-seeds",
+            "round-size", "two-preset-chaos"])
+    def test_bad_submission_is_400(self, service, changes, match):
+        url, _ = service
+        status, body = client.request(
+            url, "/jobs", method="POST", payload={**SPEC, **changes}
+        )
+        assert status == 400 and match in body["error"]
+        assert client.request(url, "/jobs")[1]["jobs"] == []
+
+    def test_cli_two_preset_chaos_submit_exits_2(self, service, capsys):
+        from repro.cli import main
+
+        url, _ = service
+        code = main(["submit", "figure4", "--chaos", "--preset", "juno_r1",
+                     "--preset", "generic_octa", "--url", url])
+        assert code == 2
+        assert "one preset" in capsys.readouterr().err
+
+    def test_cli_negative_jobs_submit_exits_2(self, service, capsys):
+        from repro.cli import main
+
+        url, _ = service
+        assert main(["submit", "E1", "--jobs", "-1", "--url", url]) == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+        assert client.request(url, "/jobs")[1]["jobs"] == []
+
+
 def frozen(tmp_path, **kwargs):
     """A JobManager with exited workers, so submissions stay pending."""
     manager = JobManager(cache_dir=str(tmp_path), max_workers=1, **kwargs)
