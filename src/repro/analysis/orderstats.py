@@ -17,14 +17,18 @@ from repro.errors import ReproError
 from repro.sim.distributions import BoundedPareto, Distribution, inverse_cdf
 
 
+def _quantile(dist: Distribution, u: float) -> float:
+    """``F^-1(u)``: closed form for a bounded Pareto, numeric otherwise."""
+    if isinstance(dist, BoundedPareto):
+        return dist.inv_cdf(u)
+    return inverse_cdf(dist, u)
+
+
 def sample_max_of_n(dist: Distribution, n: int, rng: random.Random) -> float:
     """One draw of ``max(X_1, ..., X_n)`` for i.i.d. ``X_i ~ dist``."""
     if n <= 0:
         raise ReproError("n must be positive")
-    u = rng.random() ** (1.0 / n)
-    if isinstance(dist, BoundedPareto):
-        return dist.inv_cdf(u)
-    return inverse_cdf(dist, u)
+    return _quantile(dist, rng.random() ** (1.0 / n))
 
 
 def sample_maxima(
@@ -41,7 +45,4 @@ def expected_max_quantile(dist: Distribution, n: int, q: float = 0.5) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ReproError("q must be in (0, 1)")
-    target = q ** (1.0 / n)
-    if isinstance(dist, BoundedPareto):
-        return dist.inv_cdf(target)
-    return inverse_cdf(dist, target)
+    return _quantile(dist, q ** (1.0 / n))

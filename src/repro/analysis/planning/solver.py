@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.config import MachineConfig
+from repro.core.race import scan_budget
 from repro.errors import ConfigurationError
 from repro.sim.distributions import Distribution, inverse_cdf
 
@@ -154,11 +155,12 @@ def conditional_escape_probability(
     conditional expectation, so its average over trials estimates the
     same escape probability with strictly lower variance.
     """
+    budget = scan_budget(tns_sched, tns_threshold, tns_recover, ts_switch)
     if ts_1byte <= 0:
         # Infinitely fast checker: every position is reached instantly
         # after the switch; the attacker escapes only via the switch cost.
-        return 1.0 if ts_switch > tns_sched + tns_threshold + tns_recover else 0.0
-    bound = (tns_sched + tns_threshold + tns_recover - ts_switch) / ts_1byte
+        return 1.0 if budget < 0 else 0.0
+    bound = budget / ts_1byte
     clamped = min(max(bound, 0.0), span)
     return (span - clamped) / span
 
@@ -180,13 +182,13 @@ def escape_probability_bounds(
     thr = model.tns_threshold
 
     # Largest B (most protection): slowest attacker, fastest checker.
-    num_hi = model.tsleep + thr + rc_hi - sw_lo
+    num_hi = scan_budget(model.tsleep, thr, rc_hi, sw_lo)
     if t1b_lo > 0:
         b_hi = num_hi / t1b_lo
     else:
         b_hi = math.inf if num_hi > 0 else 0.0
     # Smallest B (least protection): fastest attacker, slowest checker.
-    b_lo = (0.0 + thr + rc_lo - sw_hi) / t1b_hi if t1b_hi > 0 else 0.0
+    b_lo = scan_budget(0.0, thr, rc_lo, sw_hi) / t1b_hi if t1b_hi > 0 else 0.0
 
     escape_lo = (span - min(max(b_hi, 0.0), span)) / span
     escape_hi = (span - min(max(b_lo, 0.0), span)) / span
@@ -216,16 +218,11 @@ def _mean_escape_over_sched(
     clamped escape probability ``clamp(1 - B(s)/span, 0, 1)`` is
     piecewise linear and integrates exactly.
     """
-    if ts_1byte <= 0:
-        base = conditional_escape_probability(
-            span, ts_switch, ts_1byte, 0.0, tns_threshold, tns_recover
-        )
-        return base
-    c = tns_threshold + tns_recover - ts_switch
-    if tsleep <= 0:
+    if ts_1byte <= 0 or tsleep <= 0:
         return conditional_escape_probability(
             span, ts_switch, ts_1byte, 0.0, tns_threshold, tns_recover
         )
+    c = scan_budget(0.0, tns_threshold, tns_recover, ts_switch)
     d = span * ts_1byte  # seconds to scan the whole span
     # f(s) = 1 - (s + c)/d, clamped to [0, 1]; f >= 1 for s <= -c,
     # f <= 0 for s >= d - c.
@@ -272,8 +269,8 @@ def safe_area_bounds(model: RaceModel) -> Interval:
     t1b_lo, t1b_hi = _support(model.ts_1byte)
     rc_lo, rc_hi = _support(model.tns_recover)
     thr = model.tns_threshold
-    num_hi = model.tsleep + thr + rc_hi - sw_lo
-    num_lo = 0.0 + thr + rc_lo - sw_hi
+    num_hi = scan_budget(model.tsleep, thr, rc_hi, sw_lo)
+    num_lo = scan_budget(0.0, thr, rc_lo, sw_hi)
     hi = num_hi / t1b_lo if t1b_lo > 0 else (math.inf if num_hi > 0 else 0.0)
     lo = max(num_lo / t1b_hi if t1b_hi > 0 else 0.0, 0.0)
     return Interval(lo=lo, hi=max(hi, lo))

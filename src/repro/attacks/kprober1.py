@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
-from repro.attacks.prober import ProbeController, iter_probe_cores
+from repro.attacks.prober import ProbeController
 from repro.config import ProberConfig
 from repro.errors import AttackError
 from repro.hw.core import Core
@@ -65,8 +65,8 @@ class KProberI:
         self.controller = ProbeController(
             machine,
             self.config,
-            observer_cores=iter_probe_cores(machine, observer_cores),
-            target_cores=iter_probe_cores(machine, target_cores),
+            observer_cores=observer_cores,
+            target_cores=target_cores,
             threshold=threshold if threshold is not None else kprober1_threshold(hz),
             record_staleness=record_staleness,
             expected_interval=1.0 / hz,

@@ -11,16 +11,24 @@ Cross-core buffer reads occasionally see a *stale* entry because of cache
 coherence traffic (the paper measured delays up to ~1.3e-3 s); the
 visibility model here draws those delays from the calibrated spike mixture
 in :class:`~repro.config.ProberConfig`.
+
+:class:`ProbeThreads` is the probe loop both sleep-loop probers run: the
+user-level prober (Section III-B1) and KProber-II (Section III-C2) differ
+only in scheduling class, priority, interval and default threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.attacks.oracle import ProberAccelerationOracle
 from repro.config import ProberConfig
 from repro.errors import AttackError
 from repro.hw.platform import Machine
+from repro.kernel.os import RichOS
+from repro.kernel.threads import SchedPolicy, Task, pin_to
+from repro.sim.process import cpu, sleep
 
 _INF = float("inf")
 
@@ -278,8 +286,97 @@ class ProbeController:
         self.max_staleness = 0.0
 
 
-def iter_probe_cores(machine: Machine, cores: Optional[Iterable[int]]) -> List[int]:
-    """Normalise an optional core list to concrete indices."""
-    if cores is None:
-        return [core.index for core in machine.cores]
-    return list(cores)
+class ProbeThreads:
+    """A sleep-loop prober: one pinned probe thread per probed core.
+
+    Each thread loops report -> compare (observer cores only) ->
+    ``sleep(interval + wake jitter)``, the jitter drawn from its own
+    ``<prefix>.jitter.<core>`` stream.  Subclasses set the thread-name
+    prefix, the scheduling class, and pass their interval, priority and
+    default threshold; ``interval=None`` means the config's ``Tsleep``.
+    """
+
+    #: thread-name and jitter-stream prefix.
+    prefix = "prober"
+    policy = SchedPolicy.CFS
+
+    def __init__(
+        self, machine: Machine, rich_os: RichOS, config: Optional[ProberConfig],
+        observer_cores: Optional[Sequence[int]], target_cores: Optional[Sequence[int]],
+        interval: Optional[float], threshold: Optional[float],
+        oracle: Optional[ProberAccelerationOracle], priority: int, record_staleness: bool,
+    ) -> None:
+        self.machine = machine
+        self.rich_os = rich_os
+        self.config = config if config is not None else machine.config.prober
+        self.interval = interval if interval is not None else self.config.tsleep
+        self.controller = ProbeController(
+            machine,
+            self.config,
+            observer_cores=observer_cores,
+            target_cores=target_cores,
+            threshold=threshold,
+            record_staleness=record_staleness,
+            expected_interval=self.interval,
+        )
+        self.oracle = oracle
+        self.priority = priority
+        self.running = False
+        # Armed probe threads observe scan timing chunk by chunk.
+        machine.register_interference(lambda: self.running)
+        self.threads: List[Task] = []
+        self.iterations = 0
+
+    # ------------------------------------------------------------------
+    def install(self) -> "ProbeThreads":
+        """Spawn one pinned thread per probed core."""
+        if self.running:
+            raise AttackError(f"{type(self).__name__} is already installed")
+        self.running = True
+        cores = sorted(
+            set(self.controller.observer_cores) | set(self.controller.target_cores)
+        )
+        for core_index in cores:
+            compares = core_index in self.controller.observer_cores
+            self.threads.append(
+                self.rich_os.spawn(
+                    f"{self.prefix}-{core_index}",
+                    self._make_body(core_index, compares),
+                    policy=self.policy,
+                    priority=self.priority,
+                    affinity=pin_to(core_index),
+                )
+            )
+        return self
+
+    def uninstall(self) -> None:
+        """Signal all threads to exit at their next iteration."""
+        self.running = False
+
+    # ------------------------------------------------------------------
+    def _make_body(self, core_index: int, compares: bool):
+        draw_jitter = self.machine.rng.sampler(
+            f"{self.prefix}.jitter.{core_index}", self.config.wake_jitter
+        )
+
+        def body(task: Task) -> Generator[Any, Any, None]:
+            cfg = self.config
+            controller = self.controller
+            # The scheduler only reads a CpuRequest, so the two fixed-cost
+            # requests can be allocated once per thread, not per iteration.
+            report_req = cpu(cfg.report_cost)
+            compare_req = cpu(cfg.compare_cost)
+            interval = self.interval
+            while self.running:
+                yield report_req
+                controller.report(core_index)
+                if compares:
+                    yield compare_req
+                    controller.compare(core_index)
+                self.iterations += 1
+                pause = interval + draw_jitter()
+                if self.oracle is not None:
+                    pause = self.oracle.adjust(pause)
+                yield sleep(pause)
+
+        return body

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.analysis.orderstats import sample_max_of_n
 from repro.config import ProberConfig
 from repro.errors import AttackError
-from repro.sim.distributions import BoundedPareto, Distribution, inverse_cdf
+from repro.sim.distributions import Distribution
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,7 @@ class ThresholdWindowModel:
 
     def sample_window_max(self, period: float, rng: random.Random) -> float:
         """One 'probing threshold' measurement for a window of ``period``."""
-        n = self.draws_in(period)
-        u = rng.random() ** (1.0 / n)
-        tail = self.config.threshold_tail
-        if isinstance(tail, BoundedPareto):
-            value = tail.inv_cdf(u)
-        else:
-            value = inverse_cdf(tail, u)
+        value = sample_max_of_n(self.config.threshold_tail, self.draws_in(period), rng)
         return value * self._scale()
 
     def measure(

@@ -11,16 +11,13 @@ fast enough to defeat whole-kernel introspection (experiment E8).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.attacks.oracle import ProberAccelerationOracle
-from repro.attacks.prober import ProbeController, iter_probe_cores
+from repro.attacks.prober import ProbeThreads
 from repro.config import ProberConfig
-from repro.errors import AttackError
 from repro.hw.platform import Machine
 from repro.kernel.os import RichOS
-from repro.kernel.threads import Task, pin_to
-from repro.sim.process import cpu, sleep
 
 #: Default user-level probe interval: coarser than KProber-II's Tsleep to
 #: stay inconspicuous among ordinary CFS threads.
@@ -31,8 +28,10 @@ DEFAULT_USER_INTERVAL = 1e-3
 DEFAULT_USER_THRESHOLD = 4e-3
 
 
-class UserLevelProber:
+class UserLevelProber(ProbeThreads):
     """Unprivileged multi-thread liveness prober."""
+
+    prefix = "uprober"
 
     def __init__(
         self,
@@ -46,68 +45,8 @@ class UserLevelProber:
         oracle: Optional[ProberAccelerationOracle] = None,
         record_staleness: bool = False,
     ) -> None:
-        self.machine = machine
-        self.rich_os = rich_os
-        self.config = config if config is not None else machine.config.prober
-        self.interval = interval
-        self.controller = ProbeController(
-            machine,
-            self.config,
-            observer_cores=iter_probe_cores(machine, observer_cores),
-            target_cores=iter_probe_cores(machine, target_cores),
-            threshold=threshold,
-            record_staleness=record_staleness,
-            expected_interval=interval,
+        super().__init__(
+            machine, rich_os, config, observer_cores, target_cores,
+            interval=interval, threshold=threshold, oracle=oracle,
+            priority=0, record_staleness=record_staleness,
         )
-        self.oracle = oracle
-        self.running = False
-        # Armed probe loops observe scan timing chunk by chunk.
-        machine.register_interference(lambda: self.running)
-        self.threads: List[Task] = []
-        self.iterations = 0
-
-    # ------------------------------------------------------------------
-    def install(self) -> "UserLevelProber":
-        """Start the probe process: one CFS child thread per probed core."""
-        if self.running:
-            raise AttackError("user-level prober is already running")
-        self.running = True
-        cores = sorted(
-            set(self.controller.observer_cores) | set(self.controller.target_cores)
-        )
-        for core_index in cores:
-            compares = core_index in self.controller.observer_cores
-            self.threads.append(
-                self.rich_os.spawn(
-                    f"uprober-{core_index}",
-                    self._make_body(core_index, compares),
-                    affinity=pin_to(core_index),
-                )
-            )
-        return self
-
-    def uninstall(self) -> None:
-        self.running = False
-
-    # ------------------------------------------------------------------
-    def _make_body(self, core_index: int, compares: bool):
-        draw_jitter = self.machine.rng.sampler(
-            f"uprober.jitter.{core_index}", self.config.wake_jitter
-        )
-
-        def body(task: Task) -> Generator[Any, Any, None]:
-            cfg = self.config
-            controller = self.controller
-            while self.running:
-                yield cpu(cfg.report_cost)
-                controller.report(core_index)
-                if compares:
-                    yield cpu(cfg.compare_cost)
-                    controller.compare(core_index)
-                self.iterations += 1
-                pause = self.interval + draw_jitter()
-                if self.oracle is not None:
-                    pause = self.oracle.adjust(pause)
-                yield sleep(pause)
-
-        return body

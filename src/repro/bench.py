@@ -183,17 +183,16 @@ def bench_scan_coalescing(seed: int = 2019, passes: int = 2) -> Dict[str, Any]:
     digests, weighted events fired) and how many heap entries each mode
     scheduled for it.
     """
-    from repro.experiments.common import build_stack
+    from repro.experiments.common import build_stack, run_while
 
     def run_rounds(coalesce: bool):
         stack = build_stack(seed=seed, with_satin=True)
         satin = stack.satin
         satin.checker.coalesce_scans = coalesce
         target = passes * len(satin.areas)
-        guard = 0
-        while satin.checker.round_count < target and guard < target * 50:
-            stack.machine.run_for(satin.policy.tp)
-            guard += 1
+        run_while(
+            stack.machine, lambda: satin.checker.round_count < target, satin.policy.tp, target * 50
+        )
         results = satin.checker.results[:target]
         return {
             "rounds": satin.checker.round_count,

@@ -71,6 +71,17 @@ class RaceParameters:
         return replace(self, **changes)
 
 
+def scan_budget(
+    tns_sched: float, tns_threshold: float, tns_recover: float, ts_switch: float
+) -> float:
+    """Equation 2's numerator: seconds the checker scans before the trace is gone.
+
+    ``Tns_sched + Tns_threshold + Tns_recover - Ts_switch``, summed left to
+    right; dividing it by ``Ts_1byte`` gives the bound on ``S``.
+    """
+    return tns_sched + tns_threshold + tns_recover - ts_switch
+
+
 def evasion_succeeds(params: RaceParameters, prescanned_bytes: float) -> bool:
     """Equation 1: does the attacker hide before the checker reaches it?
 
@@ -88,11 +99,8 @@ def s_bound(params: RaceParameters) -> int:
     Malicious bytes placed deeper than this into the scan order escape.
     The paper's worst case evaluates to 1,218,351 bytes.
     """
-    numerator = (
-        params.tns_sched
-        + params.tns_threshold
-        + params.tns_recover
-        - params.ts_switch
+    numerator = scan_budget(
+        params.tns_sched, params.tns_threshold, params.tns_recover, params.ts_switch
     )
     # Round to nearest, matching the paper's reported 1,218,351 bytes.
     return max(int(math.floor(numerator / params.ts_1byte + 0.5)), 0)
@@ -117,7 +125,9 @@ def max_safe_area_size(params: RaceParameters) -> int:
 
         size < (Tns_delay + Tns_recover - Ts_switch) / Ts_1byte
     """
-    numerator = params.tns_delay + params.tns_recover - params.ts_switch
+    numerator = scan_budget(
+        params.tns_sched, params.tns_threshold, params.tns_recover, params.ts_switch
+    )
     bound = int(math.floor(numerator / params.ts_1byte + 0.5))
     if bound <= 0:
         raise ConfigurationError(
@@ -125,11 +135,3 @@ def max_safe_area_size(params: RaceParameters) -> int:
         )
     return bound
 
-
-def escape_probability(params: RaceParameters) -> float:
-    """P(escape) for a uniformly placed trace under whole-kernel scanning.
-
-    Conditioned on the scan starting while the attack is active, the trace
-    escapes iff its position exceeds the Equation-2 bound.
-    """
-    return unprotected_fraction(params)

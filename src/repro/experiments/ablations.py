@@ -32,7 +32,7 @@ from repro.attacks.predictor import PredictiveEvader
 from repro.attacks.rootkit import PersistentRootkit
 from repro.config import SatinConfig
 from repro.core.satin import Satin
-from repro.experiments.common import ExperimentResult, build_stack
+from repro.experiments.common import ExperimentResult, build_stack, run_while
 
 
 @dataclass
@@ -129,13 +129,11 @@ def run_ablation_variant(
 
     trace_offset = rootkit.traces[0].offset
     trace_area = next(a for a in satin.areas if a.contains(trace_offset))
-    guard = 0
-    while (
-        len(satin.checker.results_for_area(trace_area.index)) < trace_scans_wanted
-        and guard < trace_scans_wanted * 100
-    ):
-        machine.run_for(satin.policy.tp)
-        guard += 1
+    run_while(
+        machine,
+        lambda: len(satin.checker.results_for_area(trace_area.index)) < trace_scans_wanted,
+        satin.policy.tp, trace_scans_wanted * 100,
+    )
 
     scans = satin.checker.results_for_area(trace_area.index)[:trace_scans_wanted]
     durations = [r.duration for r in satin.checker.results]

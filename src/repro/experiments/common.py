@@ -8,7 +8,7 @@ experiment typically needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.attacks.kprober2 import KProberII
 from repro.attacks.oracle import ProberAccelerationOracle
@@ -81,6 +81,31 @@ def build_stack(
             machine, rich_os, stack.rootkit, stack.prober.controller
         ).start()
     return stack
+
+
+def run_while(
+    machine: Machine,
+    pending: Callable[[], bool],
+    step: float,
+    max_steps: Optional[int] = None,
+) -> None:
+    """Run ``machine`` in ``step``-second slices while ``pending()`` holds.
+
+    ``pending()`` is checked before every slice; ``max_steps`` (if given)
+    caps the slices so a misconfigured run still terminates.
+    """
+    steps = 0
+    while pending() and (max_steps is None or steps < max_steps):
+        machine.run_for(step)
+        steps += 1
+
+
+def secure_entry_times(machine: Machine) -> List[float]:
+    """Simulated times of every secure-world entry the monitor traced."""
+    return [
+        r.time for r in machine.trace.records("monitor")
+        if r.message == "secure entry begins"
+    ]
 
 
 @dataclass

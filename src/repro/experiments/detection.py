@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.tables import render_table, sci
-from repro.experiments.common import ExperimentResult, Stack, build_stack
+from repro.experiments.common import (
+    ExperimentResult, Stack, build_stack, run_while, secure_entry_times,
+)
 
 #: Paper's run shape.
 PAPER_ROUNDS = 190
@@ -82,10 +84,7 @@ def run_detection_experiment(
 
     target_rounds = passes * len(satin.areas)
     tp = satin.policy.tp
-    guard = 0
-    while satin.round_count < target_rounds and guard < target_rounds * 10:
-        stack.machine.run_for(tp)
-        guard += 1
+    run_while(stack.machine, lambda: satin.round_count < target_rounds, tp, target_rounds * 10)
 
     trace_offset = stack.rootkit.traces[0].offset
     trace_area = next(a for a in satin.areas if a.contains(trace_offset))
@@ -107,10 +106,7 @@ def run_detection_experiment(
     ]
 
     # False positives: detections while no core was in the secure world.
-    entries = [
-        r.time for r in stack.machine.trace.records("monitor")
-        if r.message == "secure entry begins"
-    ]
+    entries = secure_entry_times(stack.machine)
     exits = [
         r.time for r in stack.machine.trace.records("monitor")
         if r.message == "normal world resumed"

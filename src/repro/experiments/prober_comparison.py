@@ -25,7 +25,9 @@ from repro.attacks.oracle import ProberAccelerationOracle
 from repro.attacks.user_prober import UserLevelProber
 from repro.config import SatinConfig
 from repro.core.satin import Satin
-from repro.experiments.common import ExperimentResult, build_stack
+from repro.experiments.common import (
+    ExperimentResult, build_stack, run_while, secure_entry_times,
+)
 
 PROBERS = ("kprober2", "user", "kprober1")
 
@@ -74,15 +76,11 @@ def _run_campaign(
     # sleep-loop probers.
     oracle = None if prober_name == "kprober1" else ProberAccelerationOracle(machine)
     prober = _install_prober(prober_name, machine, rich_os, oracle)
-    guard = 0
-    while satin.round_count < rounds_wanted and guard < rounds_wanted * 20:
-        machine.run_for(satin.policy.tp)
-        guard += 1
+    run_while(
+        machine, lambda: satin.round_count < rounds_wanted, satin.policy.tp, rounds_wanted * 20
+    )
 
-    entries = [
-        r.time for r in machine.trace.records("monitor")
-        if r.message == "secure entry begins"
-    ][:rounds_wanted]
+    entries = secure_entry_times(machine)[:rounds_wanted]
     detection_times = sorted(d.time for d in prober.controller.detections)
     latencies: List[float] = []
     horizon = 0.5 if mechanism == "whole-kernel" else 0.05

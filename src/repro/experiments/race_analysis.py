@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.analysis.tables import pct, render_table, sci
+from repro.analysis.tables import pct, render_table
 from repro.config import PAPER_S_BOUND, SatinConfig, juno_r1_config
 from repro.core.race import (
     RaceParameters,
@@ -28,7 +27,7 @@ from repro.core.race import (
     s_bound,
     unprotected_fraction,
 )
-from repro.experiments.common import ExperimentResult, build_stack
+from repro.experiments.common import ExperimentResult, build_stack, run_while
 from repro.sim.rng import RngRegistry
 
 #: Paper's reported unprotected fraction.
@@ -134,13 +133,10 @@ def run_escape_simulation(
     trace_area = next(a for a in satin.areas if a.contains(trace_offset))
 
     # Run until enough scans of the trace area happened.
-    guard = 0
-    while (
-        len(satin.checker.results_for_area(trace_area.index)) < rounds
-        and guard < rounds * 80
-    ):
-        stack.machine.run_for(mean_period)
-        guard += 1
+    run_while(
+        stack.machine, lambda: len(satin.checker.results_for_area(trace_area.index)) < rounds,
+        mean_period, rounds * 80,
+    )
 
     scans = satin.checker.results_for_area(trace_area.index)[:rounds]
     detections = sum(1 for scan in scans if not scan.match)

@@ -16,7 +16,9 @@ from repro.analysis.tables import render_table, sci
 from repro.attacks.oracle import ProberAccelerationOracle
 from repro.attacks.user_prober import UserLevelProber
 from repro.config import SatinConfig
-from repro.experiments.common import ExperimentResult, build_stack
+from repro.experiments.common import (
+    ExperimentResult, build_stack, run_while, secure_entry_times,
+)
 
 #: Paper's reported numbers.
 PAPER_TNS_DELAY_BOUND = 5.97e-3
@@ -43,16 +45,13 @@ def run_user_prober_eval(
 
     satin = stack.satin
     assert satin is not None
-    guard = 0
-    while satin.round_count < introspection_rounds and guard < introspection_rounds * 50:
-        machine.run_for(mean_period)
-        guard += 1
+    run_while(
+        machine, lambda: satin.round_count < introspection_rounds, mean_period,
+        introspection_rounds * 50,
+    )
 
     # Detection delay: first detection at/after each secure entry.
-    entries = [
-        r.time for r in machine.trace.records("monitor")
-        if r.message == "secure entry begins"
-    ]
+    entries = secure_entry_times(machine)
     detection_times = sorted(d.time for d in prober.controller.detections)
     delays: List[float] = []
     for entry in entries:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.config import preset_config
 from repro.errors import ObservabilityError
-from repro.experiments.common import Stack, build_stack
+from repro.experiments.common import Stack, build_stack, run_while
 from repro.sim.tracing import TraceRecord
 
 
@@ -96,8 +96,7 @@ def run_scenario(
         return
     tp = stack.satin.policy.tp
     deadline = machine.now + max(rounds, 1) * tp * 20.0
-    while stack.satin.round_count < rounds and machine.now < deadline:
-        machine.run_for(tp)
+    run_while(machine, lambda: stack.satin.round_count < rounds and machine.now < deadline, tp)
 
 
 def scenario_records(stack: Stack) -> List[TraceRecord]:

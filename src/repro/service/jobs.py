@@ -183,6 +183,19 @@ class JobSpec:
     def check_submission(self) -> None:
         """The checks a new submission passes and journal replay skips."""
         self.execution()
+        if not isinstance(self.target, str):
+            raise ServiceError(f"target must be a string, got {self.target!r}")
+        for name in ("seeds", "seed_base", "fault_seed_base"):
+            if not _is_int(getattr(self, name)):
+                raise ServiceError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not (isinstance(self.presets, list) and all(isinstance(p, str) for p in self.presets)):
+            raise ServiceError(f"presets must be a list of names, got {self.presets!r}")
+        if not isinstance(self.full, bool):
+            raise ServiceError(f"full must be true or false, got {self.full!r}")
+        if self.satin is not None and not isinstance(self.satin, dict):
+            raise ServiceError(f"satin must be an object of overrides, got {self.satin!r}")
+        if self.duration is not None and not _is_positive(self.duration):
+            raise ServiceError(f"duration must be None or > 0, got {self.duration!r}")
         if self.kind == "chaos" and len(self.presets) > 1:
             raise ServiceError(f"a chaos job runs one preset, got {len(self.presets)}")
 

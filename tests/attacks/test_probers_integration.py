@@ -8,9 +8,11 @@ import pytest
 from repro.attacks.kprober1 import EVIL_IRQ_HANDLER, KProberI, kprober1_threshold
 from repro.attacks.kprober2 import KProberII
 from repro.attacks.oracle import ProberAccelerationOracle
+from repro.attacks.prober import ProbeThreads
 from repro.attacks.user_prober import UserLevelProber
 from repro.core.satin import install_satin
 from repro.hw.world import World
+from repro.kernel.threads import FIFO_PRIORITY_MAX, SchedPolicy
 from repro.kernel.vectors import IRQ_VECTOR_INDEX
 
 
@@ -31,6 +33,19 @@ def test_kprober2_no_false_positives_without_introspection(stack):
     prober = KProberII(machine, rich_os).install()
     machine.run(until=2.0)  # dense probing, nothing secure running
     assert prober.controller.detections == []
+
+
+@pytest.mark.parametrize("cls, prefix, policy, priority", [
+    (KProberII, "kprober2", SchedPolicy.FIFO, FIFO_PRIORITY_MAX),
+    (UserLevelProber, "uprober", SchedPolicy.CFS, 0),
+])
+def test_sleep_loop_probers_pin_one_thread_per_core(stack, cls, prefix, policy, priority):
+    machine, rich_os = stack
+    prober = cls(machine, rich_os).install()
+    assert isinstance(prober, ProbeThreads)
+    assert [t.name for t in prober.threads] == [f"{prefix}-{c.index}" for c in machine.cores]
+    assert {(t.policy, t.priority) for t in prober.threads} == {(policy, priority)}
+    assert [t.affinity for t in prober.threads] == [frozenset({c.index}) for c in machine.cores]
 
 
 def test_kprober2_double_install_rejected(stack):

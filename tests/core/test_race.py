@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.config import PAPER_KERNEL_SIZE, PAPER_S_BOUND
 from repro.core.race import (
     RaceParameters,
-    escape_probability,
     evasion_succeeds,
     max_safe_area_size,
     s_bound,
+    scan_budget,
     unprotected_fraction,
 )
 from repro.errors import ConfigurationError
@@ -24,9 +24,11 @@ def test_paper_unprotected_fraction():
     assert abs(fraction - 0.8978) < 0.001  # the paper rounds to ~90%
 
 
-def test_escape_probability_alias():
+def test_scan_budget_is_the_eq2_numerator():
     p = RaceParameters()
-    assert escape_probability(p) == unprotected_fraction(p)
+    budget = scan_budget(p.tns_sched, p.tns_threshold, p.tns_recover, p.ts_switch)
+    assert budget == p.tns_delay + p.tns_recover - p.ts_switch
+    assert s_bound(p) == int(budget / p.ts_1byte + 0.5)
 
 
 def test_evasion_boundary_consistent_with_bound():

@@ -255,8 +255,17 @@ class TestSubmitValidation:
         ({"adaptive": True, "ci_width": 1.0, "round_size": 0}, "round_size"),
         ({"kind": "chaos", "target": "figure4",
           "presets": ["juno_r1", "generic_octa"]}, "one preset"),
+        ({"seed_base": "5"}, "seed_base must be an int"),
+        ({"presets": "juno_r1"}, "presets must be a list"),
+        ({"kind": "chaos", "target": "figure4", "duration": -3.0}, "duration"),
+        ({"full": "yes"}, "full must be true or false"),
+        ({"satin": [1]}, "satin must be an object"),
+        ({"target": 7}, "target must be a string"),
+        ({"seeds": 2.5}, "seeds must be an int"),
     ], ids=["negative-jobs", "string-jobs", "zero-attempts", "min-seeds",
-            "round-size", "two-preset-chaos"])
+            "round-size", "two-preset-chaos", "string-seed-base",
+            "string-presets", "negative-duration", "string-full",
+            "list-satin", "int-target", "float-seeds"])
     def test_bad_submission_is_400(self, service, changes, match):
         url, _ = service
         status, body = client.request(
